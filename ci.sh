@@ -6,8 +6,9 @@
 #   quick    fmt check, release build, tests, bench smoke, frontier
 #            smoke (n = 10^4), server smoke (n = 64), montecarlo smoke
 #            (n = 64), emulation smoke (n = 64), static analysis (L1-L6
-#            + allowlist + baseline gate), docs (skips the bench
-#            regression gates and the --ignored tier)
+#            + allowlist + baseline gate), the perfbench benchmark's own
+#            tests, docs (skips the bench regression gates and the
+#            --ignored tier)
 #   full     quick + the compose/solver/workloads/adversary/frontier/
 #            server/montecarlo/emulation bench gates, the release-mode
 #            differential/scenario proptests, and the concurrency-
@@ -111,6 +112,11 @@ run_step "emulation smoke (n = 64, release)" \
 run_step "static analysis (L1-L6, allowlist ratchet)" \
     cargo run --release -p treecast-analyze --bin analyze -- \
     --rules all --check results/ANALYZE_baseline.json
+# The benchmark's own tests (percentile rule, ledger arithmetic, mirror
+# equality, seed independence of the metric set). perfbench/ is a Cargo
+# workspace of its own, so the workspace test step does not reach it.
+run_step "perfbench tests (release)" \
+    cargo test --release --offline -q --manifest-path perfbench/Cargo.toml
 
 if [[ "$TIER" != quick ]]; then
     # Each gate re-measures, writes results/BENCH_<x>.json and compares

@@ -1,7 +1,6 @@
-//! Shared pieces of the adversary-search benchmark report
-//! (`bench_adversary`): the deterministic beam-plan grid, the planning
-//! wall-time measurement, hand-rolled JSON rendering (no serde in the
-//! offline build), and the minimal parser the CI gate needs.
+//! Shared pieces of the adversary-search benchmark (`bench_adversary`):
+//! the deterministic beam-plan grid, the planning wall-time measurement,
+//! and the report.
 //!
 //! The gate has two halves, mirroring the solver and workload gates:
 //!
@@ -25,12 +24,10 @@ use treecast_core::{
     SimulationConfig, Workload,
 };
 
-/// Allowed slowdown of the planning wall time against the checked-in
-/// baseline before `bench_adversary --check` fails, in percent.
-pub use crate::gate::REGRESSION_HEADROOM_PERCENT;
+use crate::gate::{GatedReport, Wall};
 
 /// One deterministic cell of the beam-plan grid.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct PlanRound {
     /// Workload name (`broadcast`, `k-broadcast(k=2)`, `gossip`, …).
     pub workload: String,
@@ -42,14 +39,14 @@ pub struct PlanRound {
     pub lookahead: u32,
     /// Network size.
     pub n: usize,
-    /// Completion round of the replayed plan, or `None` when the capped
-    /// run did not complete (rendered as `-1`; the expected outcome for
-    /// the provably divergent variants).
-    pub rounds: Option<u64>,
+    /// Completion round of the replayed plan, or `-1` when the capped
+    /// run did not complete (the expected outcome for the provably
+    /// divergent variants). The exact cell.
+    pub rounds: i64,
 }
 
 /// The wall-time half of the report: one representative planning run.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct PlanWallMeasurement {
     /// Network size.
     pub n: usize,
@@ -101,7 +98,7 @@ pub fn measure_rounds() -> Vec<PlanRound> {
                     width,
                     lookahead: 0,
                     n,
-                    rounds: report.completion_time,
+                    rounds: report.completion_time.map_or(-1, |t| t as i64),
                 });
             }
         }
@@ -123,7 +120,7 @@ pub fn measure_rounds() -> Vec<PlanRound> {
             width: 4,
             lookahead: 1,
             n,
-            rounds: report.completion_time,
+            rounds: report.completion_time.map_or(-1, |t| t as i64),
         });
         // Survival-scored broadcast (the classic beam) for continuity.
         let plan = beam_search_plan(
@@ -139,7 +136,7 @@ pub fn measure_rounds() -> Vec<PlanRound> {
             width: 8,
             lookahead: 0,
             n,
-            rounds: report.completion_time,
+            rounds: report.completion_time.map_or(-1, |t| t as i64),
         });
         // Batched k-source row: plans over TrackedSearchState.
         let workload = KSourceBroadcast::evenly_spread(n, 2);
@@ -160,7 +157,7 @@ pub fn measure_rounds() -> Vec<PlanRound> {
             width: 4,
             lookahead: 0,
             n,
-            rounds: report.completion_time,
+            rounds: report.completion_time.map_or(-1, |t| t as i64),
         });
     }
     rows
@@ -198,113 +195,58 @@ pub fn measure_plan_wall(samples: usize) -> PlanWallMeasurement {
     }
 }
 
-/// Renders the two measurement halves as the `BENCH_adversary.json`
-/// document (line-oriented so [`parse_rounds`] / [`parse_ns_per_plan`]
-/// can read it back without a JSON dependency).
-pub fn render_report(rounds: &[PlanRound], wall: &PlanWallMeasurement) -> String {
-    let mut out = String::from("{\n");
-    out.push_str("  \"bench\": \"adversary\",\n");
-    out.push_str("  \"plans\": [\n");
-    for (i, r) in rounds.iter().enumerate() {
-        out.push_str("    {\n");
-        out.push_str(&format!("      \"workload\": \"{}\",\n", r.workload));
-        out.push_str(&format!("      \"objective\": \"{}\",\n", r.objective));
-        out.push_str(&format!("      \"width\": {},\n", r.width));
-        out.push_str(&format!("      \"lookahead\": {},\n", r.lookahead));
-        out.push_str(&format!("      \"n\": {},\n", r.n));
-        out.push_str(&format!(
-            "      \"rounds\": {}\n",
-            r.rounds.map(|t| t as i64).unwrap_or(-1)
-        ));
-        out.push_str(if i + 1 == rounds.len() {
-            "    }\n"
-        } else {
-            "    },\n"
-        });
+/// The `results/BENCH_adversary.json` document.
+#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+pub struct AdversaryBenchReport {
+    /// Report discriminator (`"adversary"`).
+    pub bench: String,
+    /// The deterministic beam-plan grid.
+    pub plans: Vec<PlanRound>,
+    /// The wall-gated planning measurement.
+    pub plan_wall: PlanWallMeasurement,
+}
+
+impl GatedReport for AdversaryBenchReport {
+    const NAME: &'static str = "adversary";
+
+    fn exact_cells(&self) -> Vec<(String, i64)> {
+        self.plans
+            .iter()
+            .map(|r| {
+                let key = format!(
+                    "{} {} w={} d={} n={}",
+                    r.workload, r.objective, r.width, r.lookahead, r.n
+                );
+                (key, r.rounds)
+            })
+            .collect()
     }
-    out.push_str("  ],\n");
-    out.push_str("  \"plan_wall\": {\n");
-    out.push_str(&format!("    \"n\": {},\n", wall.n));
-    out.push_str(&format!("    \"width\": {},\n", wall.width));
-    out.push_str(&format!("    \"ns_per_plan\": {:.1}\n", wall.ns_per_plan));
-    out.push_str("  }\n}\n");
-    out
-}
 
-/// Cell key: `(workload, objective, width, lookahead, n)`.
-pub type PlanKey = (String, String, usize, u32, usize);
-
-/// Extracts every plan cell from a [`render_report`] document as
-/// `(key, rounds)` tuples (`-1` = did not complete).
-pub fn parse_rounds(report: &str) -> Vec<(PlanKey, i64)> {
-    let mut out = Vec::new();
-    let mut lines = report.lines();
-    while let Some(line) = lines.next() {
-        let Some(workload) = field_str(line, "workload") else {
-            continue;
-        };
-        let objective = lines.next().and_then(|l| field_str(l, "objective"));
-        let width = lines.next().and_then(|l| field_num(l, "width"));
-        let lookahead = lines.next().and_then(|l| field_num(l, "lookahead"));
-        let n = lines.next().and_then(|l| field_num(l, "n"));
-        let rounds = lines.next().and_then(|l| field_num(l, "rounds"));
-        if let (Some(objective), Some(width), Some(lookahead), Some(n), Some(rounds)) =
-            (objective, width, lookahead, n, rounds)
-        {
-            out.push((
-                (
-                    workload,
-                    objective,
-                    width as usize,
-                    lookahead as u32,
-                    n as usize,
-                ),
-                rounds,
-            ));
-        }
-    }
-    out
-}
-
-/// Extracts the planning `ns_per_plan` from a [`render_report`] document.
-pub fn parse_ns_per_plan(report: &str) -> Option<f64> {
-    report.lines().find_map(|line| {
-        line.trim()
-            .strip_prefix("\"ns_per_plan\": ")
-            .and_then(|v| v.trim_end_matches(',').parse().ok())
-    })
-}
-
-fn field_str(line: &str, key: &str) -> Option<String> {
-    line.trim()
-        .strip_prefix(&format!("\"{key}\": \""))
-        .map(|rest| {
-            rest.trim_end_matches("\",")
-                .trim_end_matches('"')
-                .to_string()
+    fn wall(&self) -> Option<Wall> {
+        Some(Wall {
+            label: "planning".into(),
+            value: self.plan_wall.ns_per_plan,
+            format: |ns| format!("{:.2} ms", ns / 1e6),
         })
-}
-
-fn field_num(line: &str, key: &str) -> Option<i64> {
-    line.trim()
-        .strip_prefix(&format!("\"{key}\": "))
-        .and_then(|v| v.trim_end_matches(',').parse().ok())
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn sample() -> (Vec<PlanRound>, PlanWallMeasurement) {
-        (
-            vec![
+    #[test]
+    fn report_roundtrips_through_parser() {
+        let report = AdversaryBenchReport {
+            bench: "adversary".into(),
+            plans: vec![
                 PlanRound {
                     workload: "broadcast".into(),
                     objective: "min-disseminated".into(),
                     width: 8,
                     lookahead: 0,
                     n: 12,
-                    rounds: Some(11),
+                    rounds: 11,
                 },
                 PlanRound {
                     workload: "gossip".into(),
@@ -312,43 +254,29 @@ mod tests {
                     width: 1,
                     lookahead: 0,
                     n: 12,
-                    rounds: None,
+                    rounds: -1,
                 },
             ],
-            PlanWallMeasurement {
+            plan_wall: PlanWallMeasurement {
                 n: 32,
                 width: 16,
                 ns_per_plan: 123456.5,
             },
-        )
-    }
-
-    #[test]
-    fn report_roundtrips_through_parser() {
-        let (rounds, wall) = sample();
-        let doc = render_report(&rounds, &wall);
-        let parsed = parse_rounds(&doc);
-        assert_eq!(parsed.len(), 2);
+        };
+        let parsed = crate::gate::reread(&report);
+        let cells = parsed.exact_cells();
+        assert_eq!(cells.len(), 2);
         assert_eq!(
-            parsed[0],
-            (
-                ("broadcast".into(), "min-disseminated".into(), 8, 0, 12),
-                11
-            )
+            cells[0],
+            ("broadcast min-disseminated w=8 d=0 n=12".into(), 11)
         );
-        assert_eq!(parsed[1].1, -1, "capped runs render as -1");
-        assert_eq!(parse_ns_per_plan(&doc), Some(123456.5));
+        assert_eq!(cells[1].1, -1, "capped runs keep their -1");
+        assert_eq!(parsed.wall().unwrap().value, 123456.5);
     }
 
     #[test]
     fn report_is_json_shaped() {
-        let (rounds, wall) = sample();
-        let doc = render_report(&rounds, &wall);
-        assert!(doc.starts_with("{\n"));
-        assert!(doc.ends_with("}\n"));
-        assert_eq!(doc.matches('{').count(), doc.matches('}').count());
-        assert!(!doc.contains(",\n  ]"));
-        assert!(!doc.contains(",\n    }"));
+        crate::gate::assert_json_shaped::<AdversaryBenchReport>();
     }
 
     #[test]
@@ -387,7 +315,7 @@ mod tests {
         // Broadcast cells always complete; the divergent variants cap.
         for r in &rows {
             if r.workload == "broadcast" {
-                assert!(r.rounds.is_some(), "{r:?}");
+                assert!(r.rounds >= 0, "{r:?}");
             }
         }
     }

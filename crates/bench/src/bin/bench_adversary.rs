@@ -13,10 +13,8 @@
 //! that is never skipped — or (b) planning is more than 25% slower
 //! (skippable via `TREECAST_BENCH_GATE=off` for unsuitable hosts).
 
-use treecast_bench::adversarybench::{
-    measure_plan_wall, measure_rounds, parse_ns_per_plan, parse_rounds, render_report,
-};
-use treecast_bench::gate::{check_arg, enforce_exact, enforce_wall};
+use treecast_bench::adversarybench::{measure_plan_wall, measure_rounds, AdversaryBenchReport};
+use treecast_bench::gate::{check_arg, finish};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -32,9 +30,11 @@ fn main() {
             r.width,
             r.lookahead,
             r.n,
-            r.rounds
-                .map(|t| t.to_string())
-                .unwrap_or_else(|| ">cap".into())
+            if r.rounds < 0 {
+                ">cap".into()
+            } else {
+                r.rounds.to_string()
+            }
         );
     }
 
@@ -46,33 +46,10 @@ fn main() {
         wall.ns_per_plan / 1e6
     );
 
-    let report = render_report(&rounds, &wall);
-    let out_path = std::path::Path::new("results/BENCH_adversary.json");
-    std::fs::create_dir_all("results").expect("create results dir");
-    std::fs::write(out_path, &report).expect("write BENCH_adversary.json");
-    println!("wrote {}", out_path.display());
-
-    let Some(baseline_path) = check_baseline else {
-        return;
+    let report = AdversaryBenchReport {
+        bench: "adversary".into(),
+        plans: rounds,
+        plan_wall: wall,
     };
-    let baseline = std::fs::read_to_string(&baseline_path)
-        .unwrap_or_else(|e| panic!("cannot read baseline {baseline_path}: {e}"));
-
-    // Half 1: exact round counts, never skipped.
-    let current = parse_rounds(&report);
-    enforce_exact(
-        &current,
-        &parse_rounds(&baseline),
-        &format!(
-            "gate ok: all {} plan round counts match the baseline exactly",
-            current.len()
-        ),
-    );
-
-    // Half 2: wall time, +25%, skippable.
-    let base_ns = parse_ns_per_plan(&baseline)
-        .unwrap_or_else(|| panic!("baseline {baseline_path} has no plan_wall entry"));
-    enforce_wall("planning", wall.ns_per_plan, base_ns, |ns| {
-        format!("{:.2} ms", ns / 1e6)
-    });
+    finish(&report, check_baseline.as_deref());
 }

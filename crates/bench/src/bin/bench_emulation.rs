@@ -22,10 +22,9 @@
 //! quick tier and skips the comparison.
 
 use treecast_bench::emulationbench::{
-    grid_ns_per_round, measure_gate_rows, parse_cells, parse_grid_ns_per_round, render_report,
-    PairedMeasurement, GATE_N, GATE_REPLICAS,
+    measure_gate_rows, EmulationBenchReport, PairedMeasurement, GATE_N, GATE_REPLICAS,
 };
-use treecast_bench::gate::{check_arg, enforce_exact, enforce_wall};
+use treecast_bench::gate::{check_arg, finish};
 
 fn print_rows(rows: &[PairedMeasurement]) {
     for r in rows {
@@ -58,46 +57,12 @@ fn main() {
         "emulation {} rows (n = {GATE_N}, {GATE_REPLICAS} emulated + {GATE_REPLICAS} model replicas each)...",
         if smoke { "smoke" } else { "gate" }
     );
-    let rows = measure_gate_rows(smoke);
-    print_rows(&rows);
+    let report = EmulationBenchReport::new(measure_gate_rows(smoke));
+    print_rows(&report.cells);
     println!(
         "  emulated grid wall: {:.0} ns per executed replica round",
-        grid_ns_per_round(&rows)
+        report.grid_ns_per_round
     );
 
-    let report = render_report(&rows);
-    let out_path = std::path::Path::new("results/BENCH_emulation.json");
-    std::fs::create_dir_all("results").expect("create results dir");
-    std::fs::write(out_path, &report).expect("write BENCH_emulation.json");
-    println!("wrote {}", out_path.display());
-
-    let Some(baseline_path) = check_baseline else {
-        return;
-    };
-    let baseline = std::fs::read_to_string(&baseline_path)
-        .unwrap_or_else(|e| panic!("cannot read baseline {baseline_path}: {e}"));
-
-    // Half 1: exact integer statistics of every row, both sides, never
-    // skipped.
-    let current = parse_cells(&report);
-    enforce_exact(
-        &current,
-        &parse_cells(&baseline),
-        &format!(
-            "gate ok: all {} emulation estimator cells match the baseline exactly",
-            current.len()
-        ),
-    );
-
-    // Half 2: emulated wall per executed replica round over the whole
-    // grid, +25%, skippable.
-    let base_ns = parse_grid_ns_per_round(&baseline)
-        .unwrap_or_else(|| panic!("baseline {baseline_path} has no grid_ns_per_round"));
-    let now_ns = parse_grid_ns_per_round(&report).expect("the grid was just measured");
-    enforce_wall(
-        &format!("emulation grid n={GATE_N}"),
-        now_ns,
-        base_ns,
-        |ns| format!("{ns:.0} ns/replica-round"),
-    );
+    finish(&report, check_baseline.as_deref());
 }

@@ -13,10 +13,9 @@
 //! never skipped — or (b) the tracked stepping is more than 25% slower
 //! (skippable via `TREECAST_BENCH_GATE=off` for unsuitable hosts).
 
-use treecast_bench::gate::{best_ns, check_arg, enforce_exact, enforce_wall};
+use treecast_bench::gate::{best_ns, check_arg, finish};
 use treecast_bench::workloadbench::{
-    measure_gossip_reduction, measure_rounds, parse_ns_per_round, parse_rounds, render_report,
-    TrackedStepMeasurement,
+    measure_gossip_reduction, measure_rounds, TrackedStepMeasurement, WorkloadsBenchReport,
 };
 use treecast_core::TrackedTokens;
 use treecast_trees::generators;
@@ -59,9 +58,11 @@ fn main() {
             r.workload,
             r.adversary,
             r.n,
-            r.rounds
-                .map(|t| t.to_string())
-                .unwrap_or_else(|| ">cap".into())
+            if r.rounds < 0 {
+                ">cap".into()
+            } else {
+                r.rounds.to_string()
+            }
         );
     }
 
@@ -79,36 +80,14 @@ fn main() {
         reduction.n,
         reduction.naive_total_ns / 1e6,
         reduction.shared_total_ns / 1e6,
-        reduction.speedup()
+        reduction.speedup
     );
 
-    let report = render_report(&rounds, &step, &reduction);
-    let out_path = std::path::Path::new("results/BENCH_workloads.json");
-    std::fs::create_dir_all("results").expect("create results dir");
-    std::fs::write(out_path, &report).expect("write BENCH_workloads.json");
-    println!("wrote {}", out_path.display());
-
-    let Some(baseline_path) = check_baseline else {
-        return;
+    let report = WorkloadsBenchReport {
+        bench: "workloads".into(),
+        rounds,
+        tracked_step: step,
+        gossip_reduction: Some(reduction),
     };
-    let baseline = std::fs::read_to_string(&baseline_path)
-        .unwrap_or_else(|e| panic!("cannot read baseline {baseline_path}: {e}"));
-
-    // Half 1: exact round counts, never skipped.
-    let current = parse_rounds(&report);
-    enforce_exact(
-        &current,
-        &parse_rounds(&baseline),
-        &format!(
-            "gate ok: all {} round counts match the baseline exactly",
-            current.len()
-        ),
-    );
-
-    // Half 2: wall time, +25%, skippable.
-    let base_ns = parse_ns_per_round(&baseline)
-        .unwrap_or_else(|| panic!("baseline {baseline_path} has no tracked_step entry"));
-    enforce_wall("tracked_step", step.ns_per_round, base_ns, |ns| {
-        format!("{ns:.0} ns/round")
-    });
+    finish(&report, check_baseline.as_deref());
 }

@@ -1,15 +1,15 @@
-//! Shared pieces of the compose benchmark report: the workload
-//! generator, the measurement record, hand-rolled JSON rendering (no
-//! serde in the offline build), and the minimal parser the CI regression
-//! gate needs.
+//! Shared pieces of the compose benchmark (`bench_compose`): the
+//! workload generator and the report. The gate has no exact half; it
+//! gates the `n = 1024` composition time.
 
 use rand::rngs::StdRng;
 use rand::Rng;
 use treecast_bitmatrix::BoolMatrix;
 
-/// Allowed slowdown of `compose_into/1024` against the checked-in
-/// baseline before `bench_compose --check` fails, in percent.
-pub use crate::gate::REGRESSION_HEADROOM_PERCENT;
+use crate::gate::{GatedReport, Wall};
+
+/// The size whose composition time the CI gate compares.
+pub const GATE_N: usize = 1024;
 
 /// The measured workload: a reflexive matrix with roughly
 /// `density_percent`% of the off-diagonal entries set.
@@ -30,7 +30,7 @@ pub fn random_matrix(n: usize, density_percent: u32, rng: &mut StdRng) -> BoolMa
 }
 
 /// One (size, timing) row of the compose benchmark.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct ComposeMeasurement {
     /// Number of nodes.
     pub n: usize,
@@ -45,104 +45,63 @@ pub struct ComposeMeasurement {
     pub speedup_vs_seed: f64,
 }
 
-/// Renders the measurement rows as the `BENCH_compose.json` document.
-///
-/// The format is intentionally line-oriented (one `"key": value` pair per
-/// line) so [`parse_ns_per_op`] can read it back without a JSON
-/// dependency.
-pub fn render_report(density_percent: u32, rows: &[ComposeMeasurement]) -> String {
-    let mut out = String::from("{\n");
-    out.push_str("  \"bench\": \"compose_into\",\n");
-    out.push_str(&format!("  \"density_percent\": {density_percent},\n"));
-    out.push_str("  \"results\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        out.push_str("    {\n");
-        out.push_str(&format!("      \"n\": {},\n", r.n));
-        out.push_str(&format!("      \"ns_per_op\": {:.1},\n", r.ns_per_op));
-        out.push_str(&format!(
-            "      \"edges_per_sec\": {:.0},\n",
-            r.edges_per_sec
-        ));
-        out.push_str(&format!(
-            "      \"seed_ns_per_op\": {:.1},\n",
-            r.seed_ns_per_op
-        ));
-        out.push_str(&format!(
-            "      \"speedup_vs_seed\": {:.2}\n",
-            r.speedup_vs_seed
-        ));
-        out.push_str(if i + 1 == rows.len() {
-            "    }\n"
-        } else {
-            "    },\n"
-        });
-    }
-    out.push_str("  ]\n}\n");
-    out
+/// The `results/BENCH_compose.json` document.
+#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+pub struct ComposeBenchReport {
+    /// Report discriminator (`"compose_into"`).
+    pub bench: String,
+    /// Density (percent) of the measured operands.
+    pub density_percent: u32,
+    /// One row per measured size.
+    pub results: Vec<ComposeMeasurement>,
 }
 
-/// Extracts the `ns_per_op` recorded for size `n` from a
-/// [`render_report`]-formatted document.
-///
-/// Scans for the `"n": <n>` line and reads the `"ns_per_op"` on the
-/// following line — enough structure for the CI gate without a JSON
-/// parser.
-pub fn parse_ns_per_op(report: &str, n: usize) -> Option<f64> {
-    let mut lines = report.lines();
-    let wanted = format!("\"n\": {n},");
-    while let Some(line) = lines.next() {
-        if line.trim() == wanted {
-            let value_line = lines.next()?;
-            let value = value_line
-                .trim()
-                .strip_prefix("\"ns_per_op\": ")?
-                .trim_end_matches(',');
-            return value.parse().ok();
-        }
+impl GatedReport for ComposeBenchReport {
+    const NAME: &'static str = "compose";
+
+    fn exact_cells(&self) -> Vec<(String, i64)> {
+        Vec::new()
     }
-    None
+
+    fn wall(&self) -> Option<Wall> {
+        let row = self.results.iter().find(|r| r.n == GATE_N)?;
+        Some(Wall {
+            label: format!("compose_into/{GATE_N}"),
+            value: row.ns_per_op,
+            format: |ns| format!("{ns:.0} ns/op"),
+        })
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn rows() -> Vec<ComposeMeasurement> {
-        vec![
-            ComposeMeasurement {
-                n: 64,
-                ns_per_op: 700.0,
-                edges_per_sec: 1e9,
-                seed_ns_per_op: 3834.0,
-                speedup_vs_seed: 5.48,
-            },
-            ComposeMeasurement {
-                n: 1024,
-                ns_per_op: 200_000.0,
-                edges_per_sec: 5e8,
-                seed_ns_per_op: 904_202.0,
-                speedup_vs_seed: 4.52,
-            },
-        ]
-    }
-
     #[test]
     fn report_roundtrips_through_parser() {
-        let doc = render_report(10, &rows());
-        assert_eq!(parse_ns_per_op(&doc, 64), Some(700.0));
-        assert_eq!(parse_ns_per_op(&doc, 1024), Some(200_000.0));
-        assert_eq!(parse_ns_per_op(&doc, 256), None);
+        let row = |n, ns_per_op| ComposeMeasurement {
+            n,
+            ns_per_op,
+            edges_per_sec: 1e9,
+            seed_ns_per_op: 2.0 * ns_per_op,
+            speedup_vs_seed: 2.0,
+        };
+        let mut report = ComposeBenchReport {
+            bench: "compose_into".into(),
+            density_percent: 10,
+            results: vec![row(64, 700.0), row(GATE_N, 200_000.0)],
+        };
+        let parsed = crate::gate::reread(&report);
+        assert!(parsed.exact_cells().is_empty(), "compose has no exact half");
+        let wall = parsed.wall().expect("the gate row is present");
+        assert_eq!(wall.value, 200_000.0);
+        assert_eq!(wall.label, format!("compose_into/{GATE_N}"));
+        report.results.truncate(1);
+        assert!(crate::gate::reread(&report).wall().is_none());
     }
 
     #[test]
     fn report_is_json_shaped() {
-        let doc = render_report(10, &rows());
-        assert!(doc.starts_with("{\n"));
-        assert!(doc.ends_with("}\n"));
-        assert_eq!(doc.matches("\"ns_per_op\"").count(), 2);
-        // Balanced braces, no trailing comma before a closing bracket.
-        assert_eq!(doc.matches('{').count(), doc.matches('}').count());
-        assert!(!doc.contains(",\n  ]"));
-        assert!(!doc.contains(",\n    }"));
+        crate::gate::assert_json_shaped::<ComposeBenchReport>();
     }
 }

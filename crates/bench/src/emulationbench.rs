@@ -1,7 +1,5 @@
-//! Shared pieces of the emulation benchmark report (`bench_emulation`):
-//! paired emulated-vs-model estimator cells, hand-rolled JSON rendering
-//! (no serde in the offline build), and the minimal parsers the CI gate
-//! needs.
+//! Shared pieces of the emulation benchmark (`bench_emulation`): paired
+//! emulated-vs-model estimator cells and the report.
 //!
 //! Every gate row is a *paired* comparison: one [`EmulationSpec`] cell
 //! and its synchronous [`RunSpec`] twin share n, k, trees, faults,
@@ -30,6 +28,8 @@ use std::time::Instant;
 
 use treecast_emulation::{EmulationSpec, GossipKnobs};
 use treecast_montecarlo::{estimate, estimate_from, FaultSpec, RunSpec, TreeSpec};
+
+use crate::gate::{GatedReport, Wall};
 
 /// Network size of every gated row: the montecarlo gate's size, so the
 /// model twins land in well-charted dense-engine territory.
@@ -68,7 +68,7 @@ pub fn gate_cocktail() -> FaultSpec {
 }
 
 /// One measured emulated-vs-model row.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct PairedMeasurement {
     /// Workload label (`k-source-broadcast(k=…)`), shared by both sides.
     pub workload: String,
@@ -252,136 +252,59 @@ pub fn grid_ns_per_round(rows: &[PairedMeasurement]) -> f64 {
     wall_ms * 1e6 / rounds.max(1) as f64
 }
 
-/// Renders the measurement rows as the `BENCH_emulation.json` document
-/// (line-oriented so [`parse_cells`] / [`parse_grid_ns_per_round`] can
-/// read it back without a JSON dependency).
-#[must_use]
-pub fn render_report(rows: &[PairedMeasurement]) -> String {
-    let mut out = String::from("{\n");
-    out.push_str("  \"bench\": \"emulation\",\n");
-    out.push_str(&format!(
-        "  \"grid_ns_per_round\": {:.1},\n",
-        grid_ns_per_round(rows)
-    ));
-    out.push_str("  \"cells\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        out.push_str("    {\n");
-        out.push_str(&format!("      \"workload\": \"{}\",\n", r.workload));
-        out.push_str(&format!("      \"source\": \"{}\",\n", r.source));
-        out.push_str(&format!("      \"faults\": \"{}\",\n", r.faults));
-        out.push_str(&format!("      \"n\": {},\n", r.n));
-        out.push_str(&format!("      \"replicas\": {},\n", r.replicas));
-        out.push_str(&format!("      \"budget\": {},\n", r.budget));
-        out.push_str(&format!("      \"emu_completed\": {},\n", r.emu_completed));
-        out.push_str(&format!("      \"emu_censored\": {},\n", r.emu_censored));
-        out.push_str(&format!(
-            "      \"emu_total_rounds\": {},\n",
-            r.emu_total_rounds
-        ));
-        out.push_str(&format!(
-            "      \"model_completed\": {},\n",
-            r.model_completed
-        ));
-        out.push_str(&format!(
-            "      \"model_censored\": {},\n",
-            r.model_censored
-        ));
-        out.push_str(&format!(
-            "      \"model_total_rounds\": {},\n",
-            r.model_total_rounds
-        ));
-        out.push_str(&format!("      \"emu_mean\": {:.3},\n", r.emu_mean));
-        out.push_str(&format!("      \"model_mean\": {:.3},\n", r.model_mean));
-        out.push_str(&format!("      \"ratio\": {:.4},\n", r.ratio));
-        out.push_str(&format!("      \"emu_wall_ms\": {:.3},\n", r.emu_wall_ms));
-        out.push_str(&format!(
-            "      \"model_wall_ms\": {:.3}\n",
-            r.model_wall_ms
-        ));
-        out.push_str(if i + 1 == rows.len() {
-            "    }\n"
-        } else {
-            "    },\n"
-        });
-    }
-    out.push_str("  ]\n}\n");
-    out
+/// The `results/BENCH_emulation.json` document.
+#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+pub struct EmulationBenchReport {
+    /// Report discriminator (`"emulation"`).
+    pub bench: String,
+    /// [`grid_ns_per_round`] of `cells` — the wall-gated statistic.
+    pub grid_ns_per_round: f64,
+    /// The measured paired grid.
+    pub cells: Vec<PairedMeasurement>,
 }
 
-/// Extracts every row's exact integer statistics — both sides — from a
-/// [`render_report`] document as
-/// `((workload, source, faults, n, stat), value)` tuples, the
-/// exact-gate cells.
-#[must_use]
-pub fn parse_cells(report: &str) -> Vec<((String, String, String, usize, &'static str), i64)> {
-    let mut out = Vec::new();
-    let mut lines = report.lines();
-    while let Some(line) = lines.next() {
-        let Some(workload) = field_str(line, "workload") else {
-            continue;
-        };
-        let source = lines.next().and_then(|l| field_str(l, "source"));
-        let faults = lines.next().and_then(|l| field_str(l, "faults"));
-        let n = lines.next().and_then(|l| field_num(l, "n"));
-        let _replicas = lines.next();
-        let _budget = lines.next();
-        let stats: Vec<(&'static str, Option<i64>)> = [
-            "emu_completed",
-            "emu_censored",
-            "emu_total_rounds",
-            "model_completed",
-            "model_censored",
-            "model_total_rounds",
-        ]
-        .iter()
-        .map(|&stat| (stat, lines.next().and_then(|l| field_num(l, stat))))
-        .collect();
-        let (Some(source), Some(faults), Some(n)) = (source, faults, n) else {
-            continue;
-        };
-        for (stat, value) in stats {
-            if let Some(v) = value {
-                out.push((
-                    (
-                        workload.clone(),
-                        source.clone(),
-                        faults.clone(),
-                        n as usize,
-                        stat,
-                    ),
-                    v,
-                ));
-            }
+impl EmulationBenchReport {
+    /// The report of a measured grid.
+    #[must_use]
+    pub fn new(cells: Vec<PairedMeasurement>) -> Self {
+        EmulationBenchReport {
+            bench: "emulation".into(),
+            grid_ns_per_round: grid_ns_per_round(&cells),
+            cells,
         }
     }
-    out
 }
 
-/// Extracts the `grid_ns_per_round` statistic from a [`render_report`]
-/// document — the wall-gate statistic.
-#[must_use]
-pub fn parse_grid_ns_per_round(report: &str) -> Option<f64> {
-    report.lines().find_map(|l| {
-        l.trim()
-            .strip_prefix("\"grid_ns_per_round\": ")
-            .and_then(|v| v.trim_end_matches(',').parse().ok())
-    })
-}
+impl GatedReport for EmulationBenchReport {
+    const NAME: &'static str = "emulation";
 
-fn field_str(line: &str, key: &str) -> Option<String> {
-    line.trim()
-        .strip_prefix(&format!("\"{key}\": \""))
-        .map(|rest| {
-            rest.trim_end_matches("\",")
-                .trim_end_matches('"')
-                .to_string()
+    /// Both sides of every row: on unconstrained rows this pins the
+    /// emulated integers to the model's.
+    fn exact_cells(&self) -> Vec<(String, i64)> {
+        let mut out = Vec::new();
+        for r in &self.cells {
+            let key = format!("{} {} {} n={}", r.workload, r.source, r.faults, r.n);
+            for (stat, value) in [
+                ("emu_completed", r.emu_completed),
+                ("emu_censored", r.emu_censored),
+                ("emu_total_rounds", r.emu_total_rounds),
+                ("model_completed", r.model_completed),
+                ("model_censored", r.model_censored),
+                ("model_total_rounds", r.model_total_rounds),
+            ] {
+                out.push((format!("{key} {stat}"), value as i64));
+            }
+        }
+        out
+    }
+
+    fn wall(&self) -> Option<Wall> {
+        Some(Wall {
+            label: format!("emulation grid n={GATE_N}"),
+            value: self.grid_ns_per_round,
+            format: |ns| format!("{ns:.0} ns/replica-round"),
         })
-}
-
-fn field_num(line: &str, key: &str) -> Option<i64> {
-    line.trim()
-        .strip_prefix(&format!("\"{key}\": "))
-        .and_then(|v| v.trim_end_matches(',').parse().ok())
+    }
 }
 
 #[cfg(test)]
@@ -434,36 +357,26 @@ mod tests {
     #[test]
     fn report_roundtrips_through_parsers() {
         let rows = sample();
-        let doc = render_report(&rows);
-        let cells = parse_cells(&doc);
+        let parsed = crate::gate::reread(&EmulationBenchReport::new(rows.clone()));
+        let cells = parsed.exact_cells();
         assert_eq!(cells.len(), 12, "six exact stats per row");
         assert_eq!(
             cells[0],
             (
-                (
-                    "k-source-broadcast(k=1)".into(),
-                    "emulated(static(path))".into(),
-                    "no-faults".into(),
-                    64,
-                    "emu_completed"
-                ),
+                "k-source-broadcast(k=1) emulated(static(path)) no-faults n=64 emu_completed"
+                    .into(),
                 24
             )
         );
-        assert_eq!(cells[5].0 .4, "model_total_rounds");
+        assert!(cells[5].0.ends_with(" model_total_rounds"));
         assert_eq!(cells[5].1, 24 * 63);
-        let ns = parse_grid_ns_per_round(&doc).expect("statistic present");
+        let ns = parsed.wall().unwrap().value;
         assert!((ns - grid_ns_per_round(&rows)).abs() < 0.1);
     }
 
     #[test]
     fn report_is_json_shaped() {
-        let doc = render_report(&sample());
-        assert!(doc.starts_with("{\n"));
-        assert!(doc.ends_with("}\n"));
-        assert_eq!(doc.matches('{').count(), doc.matches('}').count());
-        assert!(!doc.contains(",\n  ]"));
-        assert!(!doc.contains(",\n    }"));
+        crate::gate::assert_json_shaped::<EmulationBenchReport>();
     }
 
     #[test]

@@ -1,7 +1,5 @@
-//! Shared pieces of the frontier-engine benchmark report
-//! (`bench_frontier`): the scale-run measurements, peak-RSS readout,
-//! hand-rolled JSON rendering (no serde in the offline build), and the
-//! minimal parser the CI gate needs.
+//! Shared pieces of the frontier-engine benchmark (`bench_frontier`):
+//! the scale-run measurements, peak-RSS readout, and the report.
 //!
 //! The gate has the standard two halves (see [`crate::gate`]):
 //!
@@ -24,6 +22,8 @@ use treecast_core::frontier::{run_workload_frontier, FrontierSource};
 use treecast_core::{KSourceBroadcast, SimulationConfig, Workload};
 use treecast_trees::generators;
 
+use crate::gate::{GatedReport, Wall};
+
 /// Smoke size: quick-tier CI territory (a second or two, debug build).
 pub const SMOKE_N: usize = 10_000;
 
@@ -45,7 +45,7 @@ pub const SWEEP_K: usize = 16;
 pub const SCALE_SEED: u64 = 0x5CA1E;
 
 /// One measured frontier run.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct ScaleMeasurement {
     /// Workload name (`broadcast`, `k-source-broadcast(k=16)`, …).
     pub workload: String,
@@ -53,8 +53,9 @@ pub struct ScaleMeasurement {
     pub source: String,
     /// Network size.
     pub n: usize,
-    /// Completion round, or `None` if the capped run did not complete
-    /// (rendered as `-1`; never expected for these rows).
+    /// Completion round, or `None` (`null`) if the capped run did not
+    /// complete (never expected for these rows). The exact cell, `-1`
+    /// for `None`.
     pub rounds: Option<u64>,
     /// Total run wall time, ms.
     pub wall_ms: f64,
@@ -62,7 +63,7 @@ pub struct ScaleMeasurement {
     pub ns_per_round: f64,
     /// `VmHWM` after the run, KiB (peak RSS of the *process*, so a
     /// high-water mark over everything run so far — see the bench
-    /// README's caveats), when the platform exposes it.
+    /// README's caveats), when the platform exposes it (`null` if not).
     pub peak_rss_kb: Option<u64>,
 }
 
@@ -125,154 +126,91 @@ pub fn measure_scale_rows(n: usize) -> Vec<ScaleMeasurement> {
     ]
 }
 
-/// Renders the measurement rows as the `BENCH_frontier.json` document
-/// (line-oriented so [`parse_rounds`] / [`parse_ns_per_round`] can read
-/// it back without a JSON dependency).
-pub fn render_report(rows: &[ScaleMeasurement]) -> String {
-    let mut out = String::from("{\n");
-    out.push_str("  \"bench\": \"frontier\",\n");
-    out.push_str("  \"runs\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        out.push_str("    {\n");
-        out.push_str(&format!("      \"workload\": \"{}\",\n", r.workload));
-        out.push_str(&format!("      \"source\": \"{}\",\n", r.source));
-        out.push_str(&format!("      \"n\": {},\n", r.n));
-        out.push_str(&format!(
-            "      \"rounds\": {},\n",
-            r.rounds.map(|t| t as i64).unwrap_or(-1)
-        ));
-        out.push_str(&format!("      \"wall_ms\": {:.3},\n", r.wall_ms));
-        out.push_str(&format!("      \"ns_per_round\": {:.1},\n", r.ns_per_round));
-        out.push_str(&format!(
-            "      \"peak_rss_kb\": {}\n",
-            r.peak_rss_kb.map(|kb| kb as i64).unwrap_or(-1)
-        ));
-        out.push_str(if i + 1 == rows.len() {
-            "    }\n"
-        } else {
-            "    },\n"
-        });
-    }
-    out.push_str("  ]\n}\n");
-    out
+/// The `results/BENCH_frontier.json` document.
+#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+pub struct FrontierBenchReport {
+    /// Report discriminator (`"frontier"`).
+    pub bench: String,
+    /// The smoke rows, plus the scale rows under `--scale`.
+    pub runs: Vec<ScaleMeasurement>,
 }
 
-/// Extracts every run's round count from a [`render_report`] document as
-/// `((workload, source, n), rounds)` tuples — the exact-gate cells.
-pub fn parse_rounds(report: &str) -> Vec<((String, String, usize), i64)> {
-    let mut out = Vec::new();
-    let mut lines = report.lines();
-    while let Some(line) = lines.next() {
-        let Some(workload) = field_str(line, "workload") else {
-            continue;
-        };
-        let source = lines.next().and_then(|l| field_str(l, "source"));
-        let n = lines.next().and_then(|l| field_num(l, "n"));
-        let rounds = lines.next().and_then(|l| field_num(l, "rounds"));
-        if let (Some(source), Some(n), Some(rounds)) = (source, n, rounds) {
-            out.push(((workload, source, n as usize), rounds));
-        }
-    }
-    out
-}
+impl GatedReport for FrontierBenchReport {
+    const NAME: &'static str = "frontier";
 
-/// Extracts the `ns_per_round` of the row matching `workload` and `n`
-/// from a [`render_report`] document — the wall-gate statistic.
-pub fn parse_ns_per_round(report: &str, workload: &str, n: usize) -> Option<f64> {
-    let mut lines = report.lines();
-    while let Some(line) = lines.next() {
-        let Some(w) = field_str(line, "workload") else {
-            continue;
-        };
-        let _source = lines.next();
-        let row_n = lines.next().and_then(|l| field_num(l, "n"));
-        if w != workload || row_n != Some(n as i64) {
-            continue;
-        }
-        let _rounds = lines.next();
-        let _wall = lines.next();
-        return lines.next().and_then(|l| {
-            l.trim()
-                .strip_prefix("\"ns_per_round\": ")
-                .and_then(|v| v.trim_end_matches(',').parse().ok())
-        });
+    fn exact_cells(&self) -> Vec<(String, i64)> {
+        self.runs
+            .iter()
+            .map(|r| {
+                let key = format!("{} {} n={}", r.workload, r.source, r.n);
+                (key, r.rounds.map_or(-1, |t| t as i64))
+            })
+            .collect()
     }
-    None
-}
 
-fn field_str(line: &str, key: &str) -> Option<String> {
-    line.trim()
-        .strip_prefix(&format!("\"{key}\": \""))
-        .map(|rest| {
-            rest.trim_end_matches("\",")
-                .trim_end_matches('"')
-                .to_string()
+    /// The seeded sweep (not the path run) is the gate row: its rounds
+    /// are all-delta, so it covers the engine's full per-round machinery.
+    fn wall(&self) -> Option<Wall> {
+        let workload = format!("k-source-broadcast(k={SWEEP_K})");
+        let row = self
+            .runs
+            .iter()
+            .find(|r| r.workload == workload && r.n == GATE_N)?;
+        Some(Wall {
+            label: format!("frontier sweep n={GATE_N}"),
+            value: row.ns_per_round,
+            format: |ns| format!("{:.2} ms/round", ns / 1e6),
         })
-}
-
-fn field_num(line: &str, key: &str) -> Option<i64> {
-    line.trim()
-        .strip_prefix(&format!("\"{key}\": "))
-        .and_then(|v| v.trim_end_matches(',').parse().ok())
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn sample() -> Vec<ScaleMeasurement> {
-        vec![
-            ScaleMeasurement {
-                workload: "broadcast".into(),
-                source: "static(path)".into(),
-                n: 10_000,
-                rounds: Some(9_999),
-                wall_ms: 12.5,
-                ns_per_round: 1250.0,
-                peak_rss_kb: Some(4_321),
-            },
-            ScaleMeasurement {
-                workload: "k-source-broadcast(k=16)".into(),
-                source: "seeded-uniform(seed=379422)".into(),
-                n: 10_000,
-                rounds: Some(21),
-                wall_ms: 3.0,
-                ns_per_round: 142857.1,
-                peak_rss_kb: None,
-            },
-        ]
-    }
-
     #[test]
     fn report_roundtrips_through_parsers() {
-        let doc = render_report(&sample());
-        let rounds = parse_rounds(&doc);
-        assert_eq!(rounds.len(), 2);
+        let report = FrontierBenchReport {
+            bench: "frontier".into(),
+            runs: vec![
+                ScaleMeasurement {
+                    workload: "broadcast".into(),
+                    source: "static(path)".into(),
+                    n: GATE_N,
+                    rounds: Some(GATE_N as u64 - 1),
+                    wall_ms: 12.5,
+                    ns_per_round: 1250.0,
+                    peak_rss_kb: Some(4_321),
+                },
+                ScaleMeasurement {
+                    workload: format!("k-source-broadcast(k={SWEEP_K})"),
+                    source: "seeded-uniform(seed=379422)".into(),
+                    n: GATE_N,
+                    rounds: None,
+                    wall_ms: 3.0,
+                    ns_per_round: 142857.1,
+                    peak_rss_kb: None,
+                },
+            ],
+        };
+        let parsed = crate::gate::reread(&report);
+        let cells = parsed.exact_cells();
+        assert_eq!(cells.len(), 2);
         assert_eq!(
-            rounds[0],
-            (("broadcast".into(), "static(path)".into(), 10_000), 9_999)
+            cells[0],
+            (
+                format!("broadcast static(path) n={GATE_N}"),
+                GATE_N as i64 - 1
+            )
         );
-        assert_eq!(rounds[1].1, 21);
-        assert_eq!(
-            parse_ns_per_round(&doc, "k-source-broadcast(k=16)", 10_000),
-            Some(142857.1)
-        );
-        assert_eq!(parse_ns_per_round(&doc, "broadcast", 10_000), Some(1250.0));
-        assert_eq!(parse_ns_per_round(&doc, "broadcast", 999), None);
+        assert_eq!(cells[1].1, -1, "a null round count gates as -1");
+        // The seeded sweep row, not the path row, carries the wall gate.
+        assert_eq!(parsed.wall().unwrap().value, 142857.1);
     }
 
     #[test]
     fn report_is_json_shaped() {
-        let doc = render_report(&sample());
-        assert!(doc.starts_with("{\n"));
-        assert!(doc.ends_with("}\n"));
-        assert_eq!(doc.matches('{').count(), doc.matches('}').count());
-        assert!(!doc.contains(",\n  ]"));
-        assert!(!doc.contains(",\n    }"));
-        assert!(
-            doc.contains("\"peak_rss_kb\": -1"),
-            "missing RSS renders -1"
-        );
+        crate::gate::assert_json_shaped::<FrontierBenchReport>();
     }
 
     #[test]

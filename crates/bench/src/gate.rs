@@ -1,7 +1,9 @@
 //! The shared CI-gate scaffolding of the bench binaries.
 //!
-//! Every `bench_*` bin implements the same two-half `--check <baseline>`
-//! protocol:
+//! Every `bench_*` bin measures into a serde-derived report type that
+//! implements [`GatedReport`], then hands it to [`finish`], which writes
+//! `results/BENCH_<x>.json` and, under `--check <baseline>`, runs the
+//! same two-half protocol for every bench:
 //!
 //! * **exact half** — deterministic keyed values (round counts, `t*`)
 //!   must match the checked-in baseline with zero tolerance; this half is
@@ -10,13 +12,13 @@
 //!   [`REGRESSION_HEADROOM_PERCENT`]; skippable via
 //!   `TREECAST_BENCH_GATE=off` for underpowered or loaded hosts.
 //!
-//! This module is that protocol, written once: argument parsing
+//! Besides [`finish`], this module holds argument parsing
 //! ([`check_arg`]), the exact comparison ([`exact_gate`]), the headroom
 //! check ([`wall_gate`]), the skip switch ([`wall_gate_disabled`]), and
 //! the shared anti-noise timing statistic ([`best_ns`]). The halves are
 //! pure (they return `Result` instead of exiting) so the pass/fail logic
-//! is unit-testable; bins print the messages and translate `Err` into a
-//! nonzero exit.
+//! is unit-testable; [`finish`] prints the messages and translates `Err`
+//! into a nonzero exit.
 
 use std::fmt::Debug;
 use std::time::Instant;
@@ -27,6 +29,38 @@ pub const REGRESSION_HEADROOM_PERCENT: u32 = 25;
 
 /// The environment variable that disables the wall half of every gate.
 pub const GATE_ENV_VAR: &str = "TREECAST_BENCH_GATE";
+
+/// A bench report the one `--check` path can gate: serde gives the
+/// JSON shape, these methods pick the gated values out of it.
+pub trait GatedReport: serde::Serialize + serde::Deserialize {
+    /// The `<x>` of `results/BENCH_<x>.json` and of its checked-in
+    /// `results/BENCH_<x>_baseline.json`.
+    const NAME: &'static str;
+
+    /// The zero-tolerance cells, each keyed by a readable label. Empty
+    /// for a bench without an exact half.
+    fn exact_cells(&self) -> Vec<(String, i64)>;
+
+    /// The wall-gated statistic, or `None` when the report lacks the row
+    /// that carries it.
+    fn wall(&self) -> Option<Wall>;
+
+    /// Drops the baseline rows this run leaves out by design (the
+    /// solver's `--quick` stops below the baseline's largest size).
+    /// Keeps every row by default.
+    fn scope_baseline(&self, _baseline: &mut Self) {}
+}
+
+/// One wall-gated statistic with its label and unit.
+#[derive(Debug, Clone)]
+pub struct Wall {
+    /// What was timed, for the gate messages (e.g. `compose_into/1024`).
+    pub label: String,
+    /// The statistic; lower is better.
+    pub value: f64,
+    /// Renders a value of this statistic with its unit.
+    pub format: fn(f64) -> String,
+}
 
 /// Extracts the `--check <baseline>` argument pair.
 ///
@@ -55,16 +89,23 @@ pub fn wall_gate_disabled() -> bool {
 /// missing cell. Cells present in `current` but absent from the baseline
 /// are allowed (a new bench adds rows before its baseline is
 /// regenerated); the reverse is a failure, so a bench cannot silently
-/// stop measuring a gated cell.
+/// stop measuring a gated cell. An empty baseline is a failure too: a
+/// gate that compares nothing must not pass.
 ///
 /// # Errors
 ///
 /// One human-readable message per baseline cell that is missing from
-/// `current` or differs from it.
+/// `current` or differs from it, or one message for an empty baseline.
 pub fn exact_gate<K: Debug + PartialEq>(
     current: &[(K, i64)],
     baseline: &[(K, i64)],
 ) -> Result<usize, Vec<String>> {
+    if baseline.is_empty() {
+        return Err(vec![
+            "EMPTY: the baseline has no exact cells, so the exact gate would compare nothing"
+                .into(),
+        ]);
+    }
     let mut failures = Vec::new();
     for (key, base) in baseline {
         match current.iter().find(|(k, _)| k == key) {
@@ -117,15 +158,54 @@ pub fn wall_gate(
     }
 }
 
+/// Writes `report` to `results/BENCH_<NAME>.json` and, given a baseline
+/// path, gates it: the exact half, then the wall half. Exits nonzero on
+/// any failure. A report type whose current and baseline exact cells are
+/// both empty has no exact half and runs only the wall half.
+///
+/// # Panics
+///
+/// Panics if the report cannot be written, the baseline cannot be read
+/// or deserialized into `R`, or either side lacks the wall statistic.
+pub fn finish<R: GatedReport>(report: &R, baseline_path: Option<&str>) {
+    let out_path = format!("results/BENCH_{}.json", R::NAME);
+    std::fs::create_dir_all("results").expect("create results dir");
+    std::fs::write(&out_path, serde::json::to_string_pretty(report) + "\n")
+        .unwrap_or_else(|e| panic!("cannot write {out_path}: {e}"));
+    println!("wrote {out_path}");
+
+    let Some(baseline_path) = baseline_path else {
+        return;
+    };
+    let text = std::fs::read_to_string(baseline_path)
+        .unwrap_or_else(|e| panic!("cannot read baseline {baseline_path}: {e}"));
+    let mut baseline: R = serde::json::from_str(&text)
+        .unwrap_or_else(|e| panic!("cannot parse baseline {baseline_path}: {e}"));
+    report.scope_baseline(&mut baseline);
+
+    let (current, base) = (report.exact_cells(), baseline.exact_cells());
+    if current.is_empty() && base.is_empty() {
+        println!("no exact half: {} gates wall time only", R::NAME);
+    } else {
+        enforce_exact(&current, &base, R::NAME);
+    }
+
+    let base_wall = baseline
+        .wall()
+        .unwrap_or_else(|| panic!("baseline {baseline_path} has no gated wall statistic"));
+    let now = report
+        .wall()
+        .expect("the gated statistic was just measured");
+    enforce_wall(&now, base_wall.value);
+}
+
 /// Prints each failure of an [`exact_gate`] run and exits nonzero, or
-/// prints the given success line. The bins' shared exact-half epilogue.
-pub fn enforce_exact<K: Debug + PartialEq>(
-    current: &[(K, i64)],
-    baseline: &[(K, i64)],
-    success: &str,
-) {
+/// prints how many `name` cells matched.
+fn enforce_exact(current: &[(String, i64)], baseline: &[(String, i64)], name: &str) {
     match exact_gate(current, baseline) {
-        Ok(_) => println!("{success}"),
+        Ok(compared) => {
+            println!("gate ok: all {compared} {name} exact cells match the baseline exactly");
+        }
         Err(failures) => {
             for f in &failures {
                 eprintln!("{f}");
@@ -136,13 +216,13 @@ pub fn enforce_exact<K: Debug + PartialEq>(
 }
 
 /// Runs the wall half with the skip switch applied and exits nonzero on
-/// regression. The bins' shared wall-half epilogue.
-pub fn enforce_wall(label: &str, now: f64, base: f64, format: impl Fn(f64) -> String) {
+/// regression.
+fn enforce_wall(now: &Wall, base: f64) {
     if wall_gate_disabled() {
         println!("{GATE_ENV_VAR}=off: skipping the wall-time gate");
         return;
     }
-    match wall_gate(label, now, base, format) {
+    match wall_gate(&now.label, now.value, base, now.format) {
         Ok(line) => println!("{line}"),
         Err(report) => {
             eprintln!("{report}");
@@ -183,9 +263,92 @@ pub fn best_ns<F: FnMut()>(mut f: F, samples: usize) -> f64 {
     best
 }
 
+/// The checked-in `results/BENCH_<NAME>_baseline.json`, deserialized.
+#[cfg(test)]
+pub(crate) fn read_checked_in<R: GatedReport>() -> R {
+    let path = format!(
+        "{}/../../results/BENCH_{}_baseline.json",
+        env!("CARGO_MANIFEST_DIR"),
+        R::NAME
+    );
+    let text = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
+    serde::json::from_str(&text).unwrap_or_else(|e| panic!("{path}: {e}"))
+}
+
+/// Re-rendering the checked-in baseline the way [`finish`] writes a
+/// report parses back to the same value: every written report can serve
+/// as a future baseline.
+#[cfg(test)]
+pub(crate) fn assert_json_shaped<R: GatedReport + PartialEq + Debug>() {
+    let baseline: R = read_checked_in();
+    let text = serde::json::to_string_pretty(&baseline);
+    assert!(text.starts_with("{\n") && text.ends_with('}'), "{text}");
+    assert_eq!(serde::json::from_str::<R>(&text).unwrap(), baseline);
+}
+
+/// Writes `report` the way [`finish`] does and reads it back the way
+/// [`finish`] reads a baseline; asserts the two agree and returns the
+/// re-read copy, whose gated values the caller checks.
+#[cfg(test)]
+pub(crate) fn reread<R: GatedReport + PartialEq + Debug>(report: &R) -> R {
+    let text = serde::json::to_string_pretty(report) + "\n";
+    let back: R = serde::json::from_str(&text).unwrap_or_else(|e| panic!("{e}\n{text}"));
+    assert_eq!(&back, report, "{text}");
+    back
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn checked_in_baselines_are_readable() {
+        use crate::{
+            adversarybench::AdversaryBenchReport, composebench::ComposeBenchReport,
+            emulationbench::EmulationBenchReport, frontierbench::FrontierBenchReport,
+            montecarlobench::MontecarloBenchReport, serverbench::ServerBenchReport,
+            solverbench::SolverBenchReport, workloadbench::WorkloadsBenchReport,
+        };
+        fn shape<R: GatedReport>() -> (&'static str, usize, bool) {
+            let baseline: R = read_checked_in();
+            (
+                R::NAME,
+                baseline.exact_cells().len(),
+                baseline.wall().is_some(),
+            )
+        }
+        // Exact-cell counts per baseline; compose has only a wall half.
+        let shapes = [
+            (shape::<ComposeBenchReport>(), 0),
+            (shape::<SolverBenchReport>(), 6),
+            (shape::<WorkloadsBenchReport>(), 42),
+            (shape::<AdversaryBenchReport>(), 18),
+            (shape::<FrontierBenchReport>(), 2),
+            (shape::<ServerBenchReport>(), 27),
+            (shape::<MontecarloBenchReport>(), 30),
+            (shape::<EmulationBenchReport>(), 120),
+        ];
+        for ((name, cells, has_wall), expected) in shapes {
+            assert_eq!(cells, expected, "exact cells of the {name} baseline");
+            assert!(has_wall, "the {name} baseline has no gated wall statistic");
+        }
+        // Every checked-in bench baseline has a report type above.
+        let results = concat!(env!("CARGO_MANIFEST_DIR"), "/../../results");
+        let mut on_disk: Vec<String> = std::fs::read_dir(results)
+            .unwrap()
+            .filter_map(|e| {
+                let name = e.unwrap().file_name().into_string().unwrap();
+                let bench = name
+                    .strip_prefix("BENCH_")?
+                    .strip_suffix("_baseline.json")?;
+                Some(bench.to_string())
+            })
+            .collect();
+        on_disk.sort();
+        let mut typed: Vec<String> = shapes.iter().map(|s| s.0 .0.to_string()).collect();
+        typed.sort();
+        assert_eq!(on_disk, typed);
+    }
 
     #[test]
     fn check_arg_extracts_the_path() {
@@ -225,6 +388,14 @@ mod tests {
         assert!(failures[0].contains("MISMATCH"));
         assert!(failures[0].contains("measured 99"));
         assert!(failures[1].contains("MISSING"));
+    }
+
+    #[test]
+    fn exact_gate_fails_on_an_empty_baseline() {
+        // A baseline that parses to zero cells must not pass vacuously.
+        let failures = exact_gate(&[("t_star n=6".to_string(), 1i64)], &[]).unwrap_err();
+        assert!(failures[0].contains("EMPTY"), "{failures:?}");
+        assert!(exact_gate::<String>(&[], &[]).is_err());
     }
 
     #[test]

@@ -137,7 +137,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn render_aligns_and_counts() {
+    fn table_renders_aligned_and_counts() {
         let mut t = Table::new(["name", "n", "t"]);
         t.push(["alpha".to_string(), "8".into(), "10".into()]);
         t.push(["b".to_string(), "128".into(), "7".into()]);

@@ -1,7 +1,5 @@
-//! Shared pieces of the Monte Carlo benchmark report
-//! (`bench_montecarlo`): the gated estimator cells, hand-rolled JSON
-//! rendering (no serde in the offline build), and the minimal parsers
-//! the CI gate needs.
+//! Shared pieces of the Monte Carlo benchmark (`bench_montecarlo`): the
+//! gated estimator cells and the report.
 //!
 //! The gate has the standard two halves (see [`crate::gate`]):
 //!
@@ -21,6 +19,8 @@
 use std::time::Instant;
 
 use treecast_montecarlo::{estimate, FaultSpec, RunSpec, TreeSpec};
+
+use crate::gate::{GatedReport, Wall};
 
 /// Network size of every gated cell: dense-engine territory, big enough
 /// that the loss transition is sharp.
@@ -48,7 +48,7 @@ pub const GATE_LOSS_GRID: [u32; 6] = [0, 2, 6, 10, 14, 20];
 pub const GATE_THREADS: usize = 4;
 
 /// One measured Monte Carlo cell.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct CellMeasurement {
     /// Workload label (`k-source-broadcast(k=…)`).
     pub workload: String,
@@ -182,115 +182,54 @@ pub fn sweep_ns_per_round(rows: &[CellMeasurement]) -> f64 {
     wall_ms * 1e6 / rounds.max(1) as f64
 }
 
-/// Renders the measurement rows as the `BENCH_montecarlo.json` document
-/// (line-oriented so [`parse_cells`] / [`parse_sweep_ns_per_round`] can
-/// read it back without a JSON dependency).
-#[must_use]
-pub fn render_report(rows: &[CellMeasurement]) -> String {
-    let mut out = String::from("{\n");
-    out.push_str("  \"bench\": \"montecarlo\",\n");
-    out.push_str(&format!(
-        "  \"sweep_ns_per_round\": {:.1},\n",
-        sweep_ns_per_round(rows)
-    ));
-    out.push_str("  \"cells\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        out.push_str("    {\n");
-        out.push_str(&format!("      \"workload\": \"{}\",\n", r.workload));
-        out.push_str(&format!("      \"source\": \"{}\",\n", r.source));
-        out.push_str(&format!("      \"faults\": \"{}\",\n", r.faults));
-        out.push_str(&format!("      \"n\": {},\n", r.n));
-        out.push_str(&format!("      \"replicas\": {},\n", r.replicas));
-        out.push_str(&format!("      \"budget\": {},\n", r.budget));
-        out.push_str(&format!("      \"completed\": {},\n", r.completed));
-        out.push_str(&format!("      \"censored\": {},\n", r.censored));
-        out.push_str(&format!("      \"total_rounds\": {},\n", r.total_rounds));
-        out.push_str(&format!("      \"mean\": {:.3},\n", r.mean));
-        out.push_str(&format!("      \"ci95\": {:.3},\n", r.ci95));
-        out.push_str(&format!("      \"p50\": {:.3},\n", r.p50));
-        out.push_str(&format!("      \"p90\": {:.3},\n", r.p90));
-        out.push_str(&format!("      \"stall_rate\": {:.4},\n", r.stall_rate));
-        out.push_str(&format!("      \"wall_ms\": {:.3}\n", r.wall_ms));
-        out.push_str(if i + 1 == rows.len() {
-            "    }\n"
-        } else {
-            "    },\n"
-        });
-    }
-    out.push_str("  ]\n}\n");
-    out
+/// The `results/BENCH_montecarlo.json` document.
+#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+pub struct MontecarloBenchReport {
+    /// Report discriminator (`"montecarlo"`).
+    pub bench: String,
+    /// [`sweep_ns_per_round`] of `cells` — the wall-gated statistic.
+    pub sweep_ns_per_round: f64,
+    /// The measured grid.
+    pub cells: Vec<CellMeasurement>,
 }
 
-/// Extracts every cell's exact integer statistics from a
-/// [`render_report`] document as
-/// `((workload, source, faults, n, stat), value)` tuples — the
-/// exact-gate cells.
-#[must_use]
-pub fn parse_cells(report: &str) -> Vec<((String, String, String, usize, &'static str), i64)> {
-    let mut out = Vec::new();
-    let mut lines = report.lines();
-    while let Some(line) = lines.next() {
-        let Some(workload) = field_str(line, "workload") else {
-            continue;
-        };
-        let source = lines.next().and_then(|l| field_str(l, "source"));
-        let faults = lines.next().and_then(|l| field_str(l, "faults"));
-        let n = lines.next().and_then(|l| field_num(l, "n"));
-        let _replicas = lines.next();
-        let _budget = lines.next();
-        let completed = lines.next().and_then(|l| field_num(l, "completed"));
-        let censored = lines.next().and_then(|l| field_num(l, "censored"));
-        let total = lines.next().and_then(|l| field_num(l, "total_rounds"));
-        let (Some(source), Some(faults), Some(n)) = (source, faults, n) else {
-            continue;
-        };
-        let key = |stat| {
-            (
-                workload.clone(),
-                source.clone(),
-                faults.clone(),
-                n as usize,
-                stat,
-            )
-        };
-        if let Some(v) = completed {
-            out.push((key("completed"), v));
-        }
-        if let Some(v) = censored {
-            out.push((key("censored"), v));
-        }
-        if let Some(v) = total {
-            out.push((key("total_rounds"), v));
+impl MontecarloBenchReport {
+    /// The report of a measured grid.
+    #[must_use]
+    pub fn new(cells: Vec<CellMeasurement>) -> Self {
+        MontecarloBenchReport {
+            bench: "montecarlo".into(),
+            sweep_ns_per_round: sweep_ns_per_round(&cells),
+            cells,
         }
     }
-    out
 }
 
-/// Extracts the `sweep_ns_per_round` statistic from a [`render_report`]
-/// document — the wall-gate statistic.
-#[must_use]
-pub fn parse_sweep_ns_per_round(report: &str) -> Option<f64> {
-    report.lines().find_map(|l| {
-        l.trim()
-            .strip_prefix("\"sweep_ns_per_round\": ")
-            .and_then(|v| v.trim_end_matches(',').parse().ok())
-    })
-}
+impl GatedReport for MontecarloBenchReport {
+    const NAME: &'static str = "montecarlo";
 
-fn field_str(line: &str, key: &str) -> Option<String> {
-    line.trim()
-        .strip_prefix(&format!("\"{key}\": \""))
-        .map(|rest| {
-            rest.trim_end_matches("\",")
-                .trim_end_matches('"')
-                .to_string()
+    fn exact_cells(&self) -> Vec<(String, i64)> {
+        let mut out = Vec::new();
+        for r in &self.cells {
+            let key = format!("{} {} {} n={}", r.workload, r.source, r.faults, r.n);
+            for (stat, value) in [
+                ("completed", r.completed),
+                ("censored", r.censored),
+                ("total_rounds", r.total_rounds),
+            ] {
+                out.push((format!("{key} {stat}"), value as i64));
+            }
+        }
+        out
+    }
+
+    fn wall(&self) -> Option<Wall> {
+        Some(Wall {
+            label: format!("montecarlo grid n={GATE_N}"),
+            value: self.sweep_ns_per_round,
+            format: |ns| format!("{ns:.0} ns/replica-round"),
         })
-}
-
-fn field_num(line: &str, key: &str) -> Option<i64> {
-    line.trim()
-        .strip_prefix(&format!("\"{key}\": "))
-        .and_then(|v| v.trim_end_matches(',').parse().ok())
+    }
 }
 
 #[cfg(test)]
@@ -339,36 +278,25 @@ mod tests {
     #[test]
     fn report_roundtrips_through_parsers() {
         let rows = sample();
-        let doc = render_report(&rows);
-        let cells = parse_cells(&doc);
+        let parsed = crate::gate::reread(&MontecarloBenchReport::new(rows.clone()));
+        let cells = parsed.exact_cells();
         assert_eq!(cells.len(), 6, "three exact stats per row");
         assert_eq!(
             cells[0],
             (
-                (
-                    "k-source-broadcast(k=1)".into(),
-                    "static(path)".into(),
-                    "no-faults".into(),
-                    64,
-                    "completed"
-                ),
+                "k-source-broadcast(k=1) static(path) no-faults n=64 completed".into(),
                 48
             )
         );
-        assert_eq!(cells[5].0 .4, "total_rounds");
+        assert!(cells[5].0.ends_with(" total_rounds"));
         assert_eq!(cells[5].1, 0);
-        let ns = parse_sweep_ns_per_round(&doc).expect("statistic present");
+        let ns = parsed.wall().unwrap().value;
         assert!((ns - sweep_ns_per_round(&rows)).abs() < 0.1);
     }
 
     #[test]
     fn report_is_json_shaped() {
-        let doc = render_report(&sample());
-        assert!(doc.starts_with("{\n"));
-        assert!(doc.ends_with("}\n"));
-        assert_eq!(doc.matches('{').count(), doc.matches('}').count());
-        assert!(!doc.contains(",\n  ]"));
-        assert!(!doc.contains(",\n    }"));
+        crate::gate::assert_json_shaped::<MontecarloBenchReport>();
     }
 
     #[test]

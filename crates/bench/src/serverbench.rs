@@ -21,7 +21,7 @@
 use treecast_client::{Client, LoadConfig, LoadGen, LoadReport};
 use treecast_server::{CacheConfig, Request, Response, ServerConfig, WorkloadSpec};
 
-pub use crate::gate::REGRESSION_HEADROOM_PERCENT;
+use crate::gate::{GatedReport, Wall};
 
 /// The warm-over-cold throughput floor the full gate enforces.
 pub const MIN_SPEEDUP: f64 = 5.0;
@@ -105,24 +105,31 @@ pub struct ServerBenchReport {
     pub threaded_qps: f64,
 }
 
-impl ServerBenchReport {
-    /// The zero-tolerance half of the gate as `(group, key) → value`
-    /// cells.
-    #[must_use]
-    pub fn exact_cells(&self) -> Vec<((String, String), i64)> {
-        let mut cells: Vec<((String, String), i64)> = self
+impl GatedReport for ServerBenchReport {
+    const NAME: &'static str = "server";
+
+    fn exact_cells(&self) -> Vec<(String, i64)> {
+        let mut cells: Vec<(String, i64)> = self
             .completion_rounds
             .iter()
             .enumerate()
-            .map(|(rank, &rounds)| (("completion".into(), format!("rank{rank}")), rounds))
+            .map(|(rank, &rounds)| (format!("completion rank{rank}"), rounds))
             .collect();
-        cells.push((("cache".into(), "warm_hits".into()), self.warm_hits));
-        cells.push((("cache".into(), "warm_misses".into()), self.warm_misses));
+        cells.push(("cache warm_hits".into(), self.warm_hits));
+        cells.push(("cache warm_misses".into(), self.warm_misses));
         cells.push((
-            ("cache".into(), "hit_rate_permille".into()),
+            "cache hit_rate_permille".into(),
             self.warm_hit_rate_permille,
         ));
         cells
+    }
+
+    fn wall(&self) -> Option<Wall> {
+        Some(Wall {
+            label: "warm_serve".into(),
+            value: self.warm_ns_per_request,
+            format: |ns| format!("{ns:.0} ns/request"),
+        })
     }
 }
 

@@ -1,25 +1,26 @@
-//! Shared pieces of the exact-solver benchmark report: the measurement
-//! record, hand-rolled JSON rendering (no serde in the offline build),
-//! and the minimal parser the CI regression gate needs — the solver
-//! sibling of [`crate::composebench`].
+//! Shared pieces of the exact-solver benchmark (`bench_solver`): the
+//! measurement record and the report. The gate's exact half is `t*` per
+//! size; its wall half is the [`SOLVER_GATE_N`] solve time.
 
 use treecast_core::bounds;
 
-/// Allowed slowdown of the gated solve against the checked-in baseline
-/// before `bench_solver --check` fails, in percent.
-pub use crate::gate::REGRESSION_HEADROOM_PERCENT as SOLVER_REGRESSION_HEADROOM_PERCENT;
+use crate::gate::{GatedReport, Wall};
 
 /// The size whose wall time the CI gate compares (largest quick size —
 /// big enough to be stable, small enough for every CI run).
 pub const SOLVER_GATE_N: usize = 6;
 
 /// One `(n, result, timing)` row of the solver benchmark.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct SolverMeasurement {
     /// Number of processes.
     pub n: usize,
-    /// The exact `t*(T_n)` the solve produced.
+    /// The exact `t*(T_n)` the solve produced (exact cell).
     pub t_star: u64,
+    /// `bounds::lower_bound(n)`, the Theorem 3.1 lower end.
+    pub lower_bound: u64,
+    /// `bounds::upper_bound(n)` = ⌈(1+√2)n − 1⌉, the upper end.
+    pub upper_bound: u64,
     /// Distinct canonical states explored.
     pub states: usize,
     /// Raw successor evaluations (realizable vectors emitted, pre
@@ -29,121 +30,118 @@ pub struct SolverMeasurement {
     pub wall_ms: f64,
 }
 
-/// Renders the measurement rows as the `BENCH_solver.json` document.
-///
-/// Line-oriented like the compose report (one `"key": value` pair per
-/// line) so [`parse_solver_field`] can read it back without a JSON
-/// dependency.
-pub fn render_solver_report(threads: usize, rows: &[SolverMeasurement]) -> String {
-    let mut out = String::from("{\n");
-    out.push_str("  \"bench\": \"solver_exact\",\n");
-    out.push_str(&format!("  \"threads\": {threads},\n"));
-    out.push_str("  \"results\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        out.push_str("    {\n");
-        out.push_str(&format!("      \"n\": {},\n", r.n));
-        out.push_str(&format!("      \"t_star\": {},\n", r.t_star));
-        out.push_str(&format!("      \"lower_bound\": {},\n", lower(r.n)));
-        out.push_str(&format!("      \"upper_bound\": {},\n", upper(r.n)));
-        out.push_str(&format!("      \"states\": {},\n", r.states));
-        out.push_str(&format!("      \"transitions\": {},\n", r.transitions));
-        out.push_str(&format!("      \"wall_ms\": {:.3}\n", r.wall_ms));
-        out.push_str(if i + 1 == rows.len() {
-            "    }\n"
-        } else {
-            "    },\n"
-        });
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
-fn lower(n: usize) -> u64 {
-    bounds::lower_bound(n as u64)
-}
-
-fn upper(n: usize) -> u64 {
-    bounds::upper_bound(n as u64)
-}
-
-/// Extracts one numeric field from the entry for size `n` in a
-/// [`render_solver_report`]-formatted document.
-///
-/// Scans for the `"n": <n>` line and then for `"<field>"` within that
-/// entry — enough structure for the CI gate without a JSON parser.
-pub fn parse_solver_field(report: &str, n: usize, field: &str) -> Option<f64> {
-    let mut lines = report.lines();
-    let wanted = format!("\"n\": {n},");
-    let prefix = format!("\"{field}\": ");
-    for line in lines.by_ref() {
-        if line.trim() == wanted {
-            break;
+impl SolverMeasurement {
+    /// A row for size `n`, with the theorem's sandwich filled in.
+    #[must_use]
+    pub fn new(n: usize, t_star: u64, states: usize, transitions: u64, wall_ms: f64) -> Self {
+        SolverMeasurement {
+            n,
+            t_star,
+            lower_bound: bounds::lower_bound(n as u64),
+            upper_bound: bounds::upper_bound(n as u64),
+            states,
+            transitions,
+            wall_ms,
         }
     }
-    for line in lines {
-        let t = line.trim();
-        if t.starts_with('}') {
-            return None;
-        }
-        if let Some(value) = t.strip_prefix(&prefix) {
-            return value.trim_end_matches(',').parse().ok();
-        }
+}
+
+/// The `results/BENCH_solver.json` document.
+#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+pub struct SolverBenchReport {
+    /// Report discriminator (`"solver_exact"`).
+    pub bench: String,
+    /// The `--threads` override (0 = all available).
+    pub threads: usize,
+    /// One row per solved size.
+    pub results: Vec<SolverMeasurement>,
+}
+
+impl GatedReport for SolverBenchReport {
+    const NAME: &'static str = "solver";
+
+    fn exact_cells(&self) -> Vec<(String, i64)> {
+        self.results
+            .iter()
+            .map(|r| (format!("t_star n={}", r.n), r.t_star as i64))
+            .collect()
     }
-    None
+
+    fn wall(&self) -> Option<Wall> {
+        let row = self.results.iter().find(|r| r.n == SOLVER_GATE_N)?;
+        Some(Wall {
+            label: format!("solve/{SOLVER_GATE_N}"),
+            value: row.wall_ms,
+            format: |ms| format!("{ms:.1} ms"),
+        })
+    }
+
+    /// The baseline is a full-mode record (`n ≤ 7`); a `--quick` run
+    /// stops at `n = 6`, so sizes past the largest measured one are out
+    /// of scope. A size missing below that still fails the gate.
+    fn scope_baseline(&self, baseline: &mut Self) {
+        let max_n = self.results.iter().map(|r| r.n).max().unwrap_or(0);
+        baseline.results.retain(|r| r.n <= max_n);
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn rows() -> Vec<SolverMeasurement> {
-        vec![
-            SolverMeasurement {
-                n: 5,
-                t_star: 5,
-                states: 817,
-                transitions: 8161,
-                wall_ms: 3.5,
-            },
-            SolverMeasurement {
-                n: 6,
-                t_star: 7,
-                states: 112_620,
-                transitions: 5_535_810,
-                wall_ms: 2040.0,
-            },
-        ]
-    }
-
     #[test]
     fn report_roundtrips_through_parser() {
-        let doc = render_solver_report(1, &rows());
-        assert_eq!(parse_solver_field(&doc, 5, "wall_ms"), Some(3.5));
-        assert_eq!(parse_solver_field(&doc, 6, "wall_ms"), Some(2040.0));
-        assert_eq!(parse_solver_field(&doc, 6, "t_star"), Some(7.0));
-        assert_eq!(parse_solver_field(&doc, 6, "states"), Some(112_620.0));
-        assert_eq!(parse_solver_field(&doc, 7, "wall_ms"), None);
-        assert_eq!(parse_solver_field(&doc, 5, "no_such_field"), None);
+        let mut report = SolverBenchReport {
+            bench: "solver_exact".into(),
+            threads: 1,
+            results: vec![
+                SolverMeasurement::new(5, 6, 1_234, 56_789, 3.5),
+                SolverMeasurement::new(6, 7, 112_620, 5_535_810, 2040.0),
+            ],
+        };
+        let parsed = crate::gate::reread(&report);
+        assert_eq!(
+            parsed.exact_cells(),
+            vec![("t_star n=5".into(), 6), ("t_star n=6".into(), 7)]
+        );
+        assert_eq!(parsed.results[1].states, 112_620);
+        assert_eq!(parsed.wall().unwrap().value, 2040.0);
+        report.results.truncate(1);
+        assert!(crate::gate::reread(&report).wall().is_none());
     }
 
     #[test]
     fn report_is_json_shaped() {
-        let doc = render_solver_report(4, &rows());
-        assert!(doc.starts_with("{\n"));
-        assert!(doc.ends_with("}\n"));
-        assert!(doc.contains("\"threads\": 4"));
-        assert_eq!(doc.matches('{').count(), doc.matches('}').count());
-        assert!(!doc.contains(",\n  ]"));
-        assert!(!doc.contains(",\n    }"));
+        crate::gate::assert_json_shaped::<SolverBenchReport>();
     }
 
     #[test]
     fn report_embeds_the_theorem_bounds() {
-        let doc = render_solver_report(1, &rows());
-        assert_eq!(parse_solver_field(&doc, 6, "lower_bound"), Some(7.0));
-        assert_eq!(
-            parse_solver_field(&doc, 6, "upper_bound"),
-            Some(treecast_core::bounds::upper_bound(6) as f64)
-        );
+        let row = SolverMeasurement::new(6, 7, 112_620, 5_535_810, 2040.0);
+        assert_eq!(row.lower_bound, 7);
+        assert_eq!(row.upper_bound, bounds::upper_bound(6));
+        let baseline = crate::gate::read_checked_in::<SolverBenchReport>();
+        for r in &baseline.results {
+            let fresh = SolverMeasurement::new(r.n, r.t_star, r.states, r.transitions, r.wall_ms);
+            assert_eq!(r, &fresh, "baseline row n = {} records the sandwich", r.n);
+            assert!(bounds::sandwich_holds(r.n as u64, r.t_star));
+        }
+    }
+
+    #[test]
+    fn quick_runs_scope_the_full_baseline() {
+        let mut baseline = crate::gate::read_checked_in::<SolverBenchReport>();
+        let quick = SolverBenchReport {
+            results: baseline
+                .results
+                .iter()
+                .filter(|r| r.n <= SOLVER_GATE_N)
+                .cloned()
+                .collect(),
+            ..baseline.clone()
+        };
+        quick.scope_baseline(&mut baseline);
+        assert_eq!(baseline.exact_cells(), quick.exact_cells());
+        assert!(crate::gate::exact_gate(&quick.exact_cells(), &baseline.exact_cells()).is_ok());
     }
 }

@@ -1,7 +1,6 @@
-//! Shared pieces of the workload benchmark report (`bench_workloads`):
-//! the deterministic round-count grid, the batched-stepping wall-time
-//! measurement record, hand-rolled JSON rendering (no serde in the
-//! offline build), and the minimal parser the CI gate needs.
+//! Shared pieces of the workload benchmark (`bench_workloads`): the
+//! deterministic round-count grid, the batched-stepping wall-time
+//! measurement record, and the report.
 //!
 //! The gate has two halves, mirroring the solver gate:
 //!
@@ -23,15 +22,13 @@ use treecast_core::{
 use treecast_nonsplit::{workload_time_nonsplit, PiecewiseNonsplit};
 use treecast_trees::generators;
 
-/// Allowed slowdown of the tracked-stepping wall time against the
-/// checked-in baseline before `bench_workloads --check` fails, in percent.
-pub use crate::gate::REGRESSION_HEADROOM_PERCENT;
+use crate::gate::{GatedReport, Wall};
 
 /// The deterministic round-count grid: network sizes.
 pub const GRID_NS: [usize; 3] = [16, 32, 64];
 
 /// One deterministic cell of the workload grid.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct WorkloadRound {
     /// Workload name (`broadcast`, `k-broadcast(k=2)`, `gossip`, …).
     pub workload: String,
@@ -39,14 +36,14 @@ pub struct WorkloadRound {
     pub adversary: String,
     /// Network size.
     pub n: usize,
-    /// Completion round, or `None` when the capped run did not complete
-    /// (rendered as `-1`; the expected worst-case outcome for `k ≥ 2`
-    /// under tree adversaries).
-    pub rounds: Option<u64>,
+    /// Completion round, or `-1` when the capped run did not complete
+    /// (the expected worst-case outcome for `k ≥ 2` under tree
+    /// adversaries). The exact cell.
+    pub rounds: i64,
 }
 
 /// The wall-time half of the report: batched `TrackedTokens` stepping.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct TrackedStepMeasurement {
     /// Network size.
     pub n: usize,
@@ -63,7 +60,7 @@ pub struct TrackedStepMeasurement {
 /// ([`treecast_core::prefix::run_workload_prefixes`]) on the same
 /// schedule. Informational — the shared path's regression coverage is
 /// the server bench's wall gate.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct GossipReductionMeasurement {
     /// Network size.
     pub n: usize,
@@ -73,18 +70,8 @@ pub struct GossipReductionMeasurement {
     pub naive_total_ns: f64,
     /// Total wall time of the shared prefix reduction, ns.
     pub shared_total_ns: f64,
-}
-
-impl GossipReductionMeasurement {
     /// `naive / shared` — how much the shared reduction saves.
-    #[must_use]
-    pub fn speedup(&self) -> f64 {
-        if self.shared_total_ns > 0.0 {
-            self.naive_total_ns / self.shared_total_ns
-        } else {
-            0.0
-        }
-    }
+    pub speedup: f64,
 }
 
 /// Measures both gossip reductions on the rotating-star schedule at `n`
@@ -117,6 +104,11 @@ pub fn measure_gossip_reduction(n: usize) -> GossipReductionMeasurement {
         rounds: shared.completion_time.expect("rotating stars gossip"),
         naive_total_ns,
         shared_total_ns,
+        speedup: if shared_total_ns > 0.0 {
+            naive_total_ns / shared_total_ns
+        } else {
+            0.0
+        },
     }
 }
 
@@ -172,7 +164,7 @@ pub fn measure_rounds() -> Vec<WorkloadRound> {
                     workload: workload.name(),
                     adversary: adv_name.to_string(),
                     n,
-                    rounds: report.completion_time,
+                    rounds: report.completion_time.map_or(-1, |t| t as i64),
                 });
             }
         }
@@ -198,7 +190,7 @@ pub fn measure_rounds() -> Vec<WorkloadRound> {
                     workload: workload.name(),
                     adversary: format!("piecewise(c={c}, seed=0xBEEF)"),
                     n,
-                    rounds: t,
+                    rounds: t.map_or(-1, |t| t as i64),
                 });
             }
         }
@@ -206,162 +198,96 @@ pub fn measure_rounds() -> Vec<WorkloadRound> {
     rows
 }
 
-/// Renders the measurement halves as the `BENCH_workloads.json` document
-/// (line-oriented so [`parse_rounds`] / [`parse_ns_per_round`] can read
-/// it back without a JSON dependency).
-pub fn render_report(
-    rounds: &[WorkloadRound],
-    step: &TrackedStepMeasurement,
-    reduction: &GossipReductionMeasurement,
-) -> String {
-    let mut out = String::from("{\n");
-    out.push_str("  \"bench\": \"workloads\",\n");
-    out.push_str("  \"rounds\": [\n");
-    for (i, r) in rounds.iter().enumerate() {
-        out.push_str("    {\n");
-        out.push_str(&format!("      \"workload\": \"{}\",\n", r.workload));
-        out.push_str(&format!("      \"adversary\": \"{}\",\n", r.adversary));
-        out.push_str(&format!("      \"n\": {},\n", r.n));
-        out.push_str(&format!(
-            "      \"rounds\": {}\n",
-            r.rounds.map(|t| t as i64).unwrap_or(-1)
-        ));
-        out.push_str(if i + 1 == rounds.len() {
-            "    }\n"
-        } else {
-            "    },\n"
-        });
+/// The `results/BENCH_workloads.json` document.
+#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+pub struct WorkloadsBenchReport {
+    /// Report discriminator (`"workloads"`).
+    pub bench: String,
+    /// The deterministic grid, one cell per `(workload, adversary, n)`.
+    pub rounds: Vec<WorkloadRound>,
+    /// The wall-gated stepping measurement.
+    pub tracked_step: TrackedStepMeasurement,
+    /// The informational gossip-reduction record (absent from baselines
+    /// recorded before it existed).
+    pub gossip_reduction: Option<GossipReductionMeasurement>,
+}
+
+impl GatedReport for WorkloadsBenchReport {
+    const NAME: &'static str = "workloads";
+
+    fn exact_cells(&self) -> Vec<(String, i64)> {
+        self.rounds
+            .iter()
+            .map(|r| {
+                (
+                    format!("{} {} n={}", r.workload, r.adversary, r.n),
+                    r.rounds,
+                )
+            })
+            .collect()
     }
-    out.push_str("  ],\n");
-    out.push_str("  \"tracked_step\": {\n");
-    out.push_str(&format!("    \"n\": {},\n", step.n));
-    out.push_str(&format!("    \"k\": {},\n", step.k));
-    out.push_str(&format!("    \"ns_per_round\": {:.1}\n", step.ns_per_round));
-    out.push_str("  },\n");
-    out.push_str("  \"gossip_reduction\": {\n");
-    out.push_str(&format!("    \"n\": {},\n", reduction.n));
-    out.push_str(&format!("    \"rounds\": {},\n", reduction.rounds));
-    out.push_str(&format!(
-        "    \"naive_total_ns\": {:.0},\n",
-        reduction.naive_total_ns
-    ));
-    out.push_str(&format!(
-        "    \"shared_total_ns\": {:.0},\n",
-        reduction.shared_total_ns
-    ));
-    out.push_str(&format!("    \"speedup\": {:.1}\n", reduction.speedup()));
-    out.push_str("  }\n}\n");
-    out
-}
 
-/// Extracts every round-count cell from a [`render_report`] document as
-/// `((workload, adversary, n), rounds)` tuples (`-1` = did not complete).
-pub fn parse_rounds(report: &str) -> Vec<((String, String, usize), i64)> {
-    let mut out = Vec::new();
-    let mut lines = report.lines();
-    while let Some(line) = lines.next() {
-        let Some(workload) = field_str(line, "workload") else {
-            continue;
-        };
-        let adversary = lines.next().and_then(|l| field_str(l, "adversary"));
-        let n = lines.next().and_then(|l| field_num(l, "n"));
-        let rounds = lines.next().and_then(|l| field_num(l, "rounds"));
-        if let (Some(adversary), Some(n), Some(rounds)) = (adversary, n, rounds) {
-            out.push(((workload, adversary, n as usize), rounds));
-        }
-    }
-    out
-}
-
-/// Extracts the tracked-stepping `ns_per_round` from a [`render_report`]
-/// document.
-pub fn parse_ns_per_round(report: &str) -> Option<f64> {
-    report.lines().find_map(|line| {
-        line.trim()
-            .strip_prefix("\"ns_per_round\": ")
-            .and_then(|v| v.trim_end_matches(',').parse().ok())
-    })
-}
-
-fn field_str(line: &str, key: &str) -> Option<String> {
-    line.trim()
-        .strip_prefix(&format!("\"{key}\": \""))
-        .map(|rest| {
-            rest.trim_end_matches("\",")
-                .trim_end_matches('"')
-                .to_string()
+    fn wall(&self) -> Option<Wall> {
+        Some(Wall {
+            label: "tracked_step".into(),
+            value: self.tracked_step.ns_per_round,
+            format: |ns| format!("{ns:.0} ns/round"),
         })
-}
-
-fn field_num(line: &str, key: &str) -> Option<i64> {
-    line.trim()
-        .strip_prefix(&format!("\"{key}\": "))
-        .and_then(|v| v.trim_end_matches(',').parse().ok())
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn sample() -> (
-        Vec<WorkloadRound>,
-        TrackedStepMeasurement,
-        GossipReductionMeasurement,
-    ) {
-        (
-            vec![
+    #[test]
+    fn report_roundtrips_through_parser() {
+        let report = WorkloadsBenchReport {
+            bench: "workloads".into(),
+            rounds: vec![
                 WorkloadRound {
                     workload: "broadcast".into(),
                     adversary: "static-path".into(),
                     n: 16,
-                    rounds: Some(15),
+                    rounds: 15,
                 },
                 WorkloadRound {
                     workload: "gossip".into(),
                     adversary: "static-path".into(),
                     n: 16,
-                    rounds: None,
+                    rounds: -1,
                 },
             ],
-            TrackedStepMeasurement {
+            tracked_step: TrackedStepMeasurement {
                 n: 1024,
                 k: 8,
                 ns_per_round: 1234.5,
             },
-            GossipReductionMeasurement {
+            gossip_reduction: Some(GossipReductionMeasurement {
                 n: 48,
                 rounds: 93,
                 naive_total_ns: 5.0e8,
                 shared_total_ns: 2.5e5,
-            },
-        )
-    }
-
-    #[test]
-    fn report_roundtrips_through_parser() {
-        let (rounds, step, reduction) = sample();
-        let doc = render_report(&rounds, &step, &reduction);
-        let parsed = parse_rounds(&doc);
-        assert_eq!(parsed.len(), 2, "reduction fields must not parse as cells");
-        assert_eq!(
-            parsed[0],
-            (("broadcast".into(), "static-path".into(), 16), 15)
-        );
-        assert_eq!(parsed[1].1, -1, "capped runs render as -1");
-        assert_eq!(parse_ns_per_round(&doc), Some(1234.5));
-        assert!(doc.contains("\"naive_total_ns\": 500000000,"));
-        assert!(doc.contains("\"speedup\": 2000.0"));
+                speedup: 2000.0,
+            }),
+        };
+        let parsed = crate::gate::reread(&report);
+        let cells = parsed.exact_cells();
+        assert_eq!(cells.len(), 2, "reduction fields must not parse as cells");
+        assert_eq!(cells[0], ("broadcast static-path n=16".into(), 15));
+        assert_eq!(cells[1].1, -1, "capped runs keep their -1");
+        assert_eq!(parsed.wall().unwrap().value, 1234.5);
+        // Baselines recorded before the reduction record existed still read.
+        let older = WorkloadsBenchReport {
+            gossip_reduction: None,
+            ..report
+        };
+        assert_eq!(crate::gate::reread(&older).exact_cells(), cells);
     }
 
     #[test]
     fn report_is_json_shaped() {
-        let (rounds, step, reduction) = sample();
-        let doc = render_report(&rounds, &step, &reduction);
-        assert!(doc.starts_with("{\n"));
-        assert!(doc.ends_with("}\n"));
-        assert_eq!(doc.matches('{').count(), doc.matches('}').count());
-        assert!(!doc.contains(",\n  ]"));
-        assert!(!doc.contains(",\n    }"));
+        crate::gate::assert_json_shaped::<WorkloadsBenchReport>();
     }
 
     #[test]
@@ -387,7 +313,7 @@ mod tests {
         let m = measure_gossip_reduction(24);
         assert!(m.rounds > 0);
         assert!(
-            m.speedup() > 1.0,
+            m.speedup > 1.0,
             "one shared composition per round must beat per-source recomposition: {m:?}"
         );
     }

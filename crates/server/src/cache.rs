@@ -15,10 +15,15 @@
 //!   against the shard's slice of the byte budget and evicts from the
 //!   tail until back under it. A budget of 0 therefore caches nothing —
 //!   the "uncached" baseline the bench gate compares against.
+//! * **Poisoning** — a worker that panics while holding a shard lock
+//!   leaves that shard's intrusive list untrusted. The cache is only a
+//!   memo, so the next locker resets the shard to empty, clears the
+//!   poison and keeps serving: the lost entries become misses, which
+//!   recompute the same answers.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use treecast_bitmatrix::{BitSet, BoolMatrix};
 use treecast_core::prefix::disseminated_mask;
@@ -285,15 +290,22 @@ impl PrefixCache {
         (splitmix64(fingerprint) % self.shards.len() as u64) as usize
     }
 
+    /// Locks a shard. A poisoned shard is reset to empty and un-poisoned
+    /// (see the module docs): its entries are dropped, never trusted.
+    fn lock(shard: &Mutex<Shard>) -> MutexGuard<'_, Shard> {
+        shard.lock().unwrap_or_else(|poisoned| {
+            let mut guard = poisoned.into_inner();
+            *guard = Shard::new();
+            shard.clear_poison();
+            guard
+        })
+    }
+
     /// Looks up the prefix product of `(fingerprint, round)`, counting a
     /// hit or miss and refreshing recency on hit.
     #[must_use]
     pub fn get(&self, fingerprint: u64, round: u64) -> Option<Arc<PrefixEntry>> {
-        // A poisoned shard means a worker died inside the intrusive list;
-        // its state cannot be trusted, so propagate the abort.
-        let mut shard = self.shards[self.shard_of(fingerprint)]
-            .lock()
-            .expect("cache shard poisoned"); // analyze: allow(panic): poisoned shard propagates
+        let mut shard = Self::lock(&self.shards[self.shard_of(fingerprint)]);
         match shard.map.get(&(fingerprint, round)).copied() {
             Some(i) => {
                 shard.touch(i);
@@ -314,11 +326,11 @@ impl PrefixCache {
     /// past the shard's byte budget.
     pub fn insert(&self, fingerprint: u64, round: u64, entry: Arc<PrefixEntry>) {
         let budget = self.budget_per_shard;
-        self.shards[self.shard_of(fingerprint)]
-            .lock()
-            // analyze: allow(panic): see `get` — a poisoned shard propagates.
-            .expect("cache shard poisoned")
-            .insert((fingerprint, round), entry, budget);
+        Self::lock(&self.shards[self.shard_of(fingerprint)]).insert(
+            (fingerprint, round),
+            entry,
+            budget,
+        );
     }
 
     /// Current counters, summed over shards.
@@ -327,8 +339,7 @@ impl PrefixCache {
         let mut entries = 0;
         let mut bytes = 0;
         for shard in &self.shards {
-            // analyze: allow(panic): see `get` — a poisoned shard propagates.
-            let s = shard.lock().expect("cache shard poisoned");
+            let s = Self::lock(shard);
             entries += s.map.len();
             bytes += s.bytes;
         }
@@ -358,13 +369,11 @@ impl PrefixCache {
     ///
     /// # Panics
     ///
-    /// Panics (in debug builds) if any invariant is violated, and in all
-    /// builds if a shard mutex is poisoned.
+    /// Panics (in debug builds) if any invariant is violated.
     pub fn debug_validate(&self) {
         #[cfg(debug_assertions)]
         for (si, shard) in self.shards.iter().enumerate() {
-            // analyze: allow(panic): see `get` — a poisoned shard propagates.
-            let s = shard.lock().expect("cache shard poisoned");
+            let s = Self::lock(shard);
             let live: Vec<usize> = (0..s.slots.len())
                 .filter(|&i| s.slots[i].is_some())
                 .collect();
@@ -420,8 +429,7 @@ impl PrefixCache {
     pub fn shard_sizes(&self) -> Vec<usize> {
         self.shards
             .iter()
-            // analyze: allow(panic): see `get` — a poisoned shard propagates.
-            .map(|s| s.lock().expect("cache shard poisoned").map.len())
+            .map(|s| Self::lock(s).map.len())
             .collect()
     }
 }
@@ -543,6 +551,42 @@ mod tests {
             e.cost_bytes(),
             e.heard().heap_bytes() + e.disseminated().heap_bytes() + ENTRY_OVERHEAD_BYTES
         );
+    }
+
+    #[test]
+    fn a_poisoned_shard_is_cleared_not_fatal() {
+        let c = cache(4, 1 << 20);
+        // One fingerprint per shard, so the other shards' entries can be
+        // watched across the poisoning.
+        let mut per_shard = vec![None; 4];
+        for fp in 0..64u64 {
+            per_shard[c.shard_of(fp)].get_or_insert(fp);
+        }
+        let fps: Vec<u64> = per_shard.into_iter().map(Option::unwrap).collect();
+        for &fp in &fps {
+            c.insert(fp, 1, entry(8));
+        }
+        let victim = fps[0];
+        std::thread::scope(|s| {
+            let died = s
+                .spawn(|| {
+                    let _guard = c.shards[c.shard_of(victim)].lock().unwrap();
+                    panic!("worker dies holding the shard lock");
+                })
+                .join();
+            assert!(died.is_err());
+        });
+        assert!(c.shards[c.shard_of(victim)].is_poisoned());
+
+        assert!(c.get(victim, 1).is_none(), "the poisoned shard was reset");
+        assert!(!c.shards[c.shard_of(victim)].is_poisoned());
+        c.insert(victim, 1, entry(8));
+        assert!(c.get(victim, 1).is_some(), "the shard serves again");
+        for &fp in &fps[1..] {
+            assert!(c.get(fp, 1).is_some(), "other shards keep their entries");
+        }
+        assert_eq!(c.stats().entries, 4);
+        c.debug_validate();
     }
 
     #[test]
