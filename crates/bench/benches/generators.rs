@@ -3,7 +3,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use treecast_trees::{enumerate, pruefer, random};
+use treecast_trees::{enumerate, generators, pruefer, random};
 
 fn bench_uniform(c: &mut Criterion) {
     let mut group = c.benchmark_group("random_uniform_tree");
@@ -22,6 +22,32 @@ fn bench_exact_leaves(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::from_parameter(n), &n, |bencher, &n| {
             let mut rng = StdRng::seed_from_u64(2);
             bencher.iter(|| random::with_exact_leaves(n, n / 4, &mut rng));
+        });
+    }
+    group.finish();
+}
+
+/// Cloning a tree is what every `StaticSource`/`SequenceSource` round
+/// pays; the path is the paper's static adversary.
+fn bench_tree_clone(c: &mut Criterion) {
+    let mut group = c.benchmark_group("tree_clone");
+    for n in [256usize, 1024] {
+        let path = generators::path(n);
+        group.bench_with_input(BenchmarkId::from_parameter(n), &path, |bencher, path| {
+            bencher.iter(|| path.clone());
+        });
+    }
+    group.finish();
+}
+
+/// Re-rooting the path at its far end flips every edge: the worst case of
+/// the root-reassignment fault.
+fn bench_tree_rerooted(c: &mut Criterion) {
+    let mut group = c.benchmark_group("tree_rerooted");
+    for n in [256usize, 1024] {
+        let path = generators::path(n);
+        group.bench_with_input(BenchmarkId::from_parameter(n), &path, |bencher, path| {
+            bencher.iter(|| path.rerooted(n - 1));
         });
     }
     group.finish();
@@ -57,6 +83,8 @@ criterion_group!(
     benches,
     bench_uniform,
     bench_exact_leaves,
+    bench_tree_clone,
+    bench_tree_rerooted,
     bench_pruefer_roundtrip,
     bench_enumeration
 );

@@ -470,6 +470,36 @@ pub struct FrontierSource {
     changed_buf: Vec<NodeId>,
 }
 
+/// The dense twin of [`FrontierSource::seeded`]: draws
+/// [`random::uniform`] trees on demand, then repeats the last one.
+struct SeededTwin {
+    n: usize,
+    rng: StdRng,
+    /// Trees still to draw before the stream starts repeating.
+    draws_left: u64,
+    /// The final drawn tree, kept once `draws_left` reaches zero.
+    last: Option<RootedTree>,
+    label: String,
+}
+
+impl TreeSource for SeededTwin {
+    fn next_tree(&mut self, _state: &crate::BroadcastState) -> RootedTree {
+        if let Some(tree) = &self.last {
+            return tree.clone();
+        }
+        let tree = random::uniform(self.n, &mut self.rng);
+        self.draws_left -= 1;
+        if self.draws_left == 0 {
+            self.last = Some(tree.clone());
+        }
+        tree
+    }
+
+    fn name(&self) -> String {
+        self.label.clone()
+    }
+}
+
 /// One round as produced by [`FrontierSource::next_round`]: the effective
 /// tree plus how it differs from the previous round's.
 #[derive(Debug)]
@@ -534,17 +564,23 @@ impl FrontierSource {
     /// capped at `max_rounds`) — the oracle side of the differential
     /// tests. Call it on a *fresh* source; the seeded variant replays its
     /// RNG from the seed.
+    ///
+    /// The seeded twin draws each tree when a round asks for it, so a run
+    /// that finishes early never pays for the rest of the budget;
+    /// `max_rounds` only sets where the stream stops drawing and starts
+    /// repeating its last tree (after `max_rounds.max(1)` draws, like a
+    /// [`SequenceSource`] of that length).
     pub fn dense_twin(&self, max_rounds: u64) -> Box<dyn TreeSource> {
         match &self.kind {
             SourceKind::Static(tree) => Box::new(StaticSource::new(tree.clone())),
             SourceKind::Sequence(trees) => Box::new(SequenceSource::new(trees.clone())),
-            SourceKind::Seeded { seed, n } => {
-                let mut rng = StdRng::seed_from_u64(*seed);
-                let trees: Vec<RootedTree> = (0..max_rounds.max(1))
-                    .map(|_| random::uniform(*n, &mut rng))
-                    .collect();
-                Box::new(SequenceSource::new(trees).with_label(self.name()))
-            }
+            SourceKind::Seeded { seed, n } => Box::new(SeededTwin {
+                n: *n,
+                rng: StdRng::seed_from_u64(*seed),
+                draws_left: max_rounds.max(1),
+                last: None,
+                label: self.name(),
+            }),
         }
     }
 
@@ -833,6 +869,31 @@ mod tests {
         let sparse = run_workload_frontier(n, &mut src, &Gossip, cfg);
         let dense = run_workload(n, &mut twin, &Gossip, cfg);
         assert_reports_match(&sparse, &dense, "seeded gossip");
+    }
+
+    #[test]
+    fn lazy_seeded_twin_matches_the_eager_schedule() {
+        // Reference: `max_rounds.max(1)` trees drawn up front into a
+        // `SequenceSource`. Drawing on demand must replay that stream,
+        // repeat-last tail included.
+        let n = 17;
+        let state = crate::BroadcastState::new(n);
+        for (seed, max_rounds) in [(0xF007, 12u64), (7, 1), (9, 0)] {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let eager: Vec<RootedTree> = (0..max_rounds.max(1))
+                .map(|_| random::uniform(n, &mut rng))
+                .collect();
+            let mut eager = SequenceSource::new(eager);
+            let mut lazy = FrontierSource::seeded(n, seed).dense_twin(max_rounds);
+            assert_eq!(lazy.name(), format!("seeded-uniform(seed={seed})"));
+            for round in 0..max_rounds + 3 {
+                assert_eq!(
+                    lazy.next_tree(&state),
+                    eager.next_tree(&state),
+                    "seed {seed}, round {round}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -71,8 +71,17 @@ impl std::error::Error for TreeError {}
 /// every node, and information propagates along `parent → child` edges.
 ///
 /// The representation is a validated parent array plus cached children
-/// lists and depths, so adversaries can traverse cheaply in both
-/// directions.
+/// and depths, so adversaries can traverse cheaply in both directions.
+/// The children are stored flat, in compressed sparse row (CSR) form:
+/// `child_list` holds every non-root node grouped by parent (ascending
+/// within each group) and `child_start[v]..child_start[v + 1]` is the
+/// slice of `v`'s children. A tree is therefore four flat vectors, so
+/// building one costs O(1) allocations and cloning one costs four copies.
+///
+/// With the `serde` feature a tree serializes as its parent array alone
+/// (`{"parent":[null,0,…]}`) and deserializes through
+/// [`RootedTree::from_parents`], so a malformed tree on the wire is a
+/// deserialize error rather than a panic later.
 ///
 /// # Examples
 ///
@@ -87,11 +96,14 @@ impl std::error::Error for TreeError {}
 /// # Ok::<(), treecast_trees::TreeError>(())
 /// ```
 #[derive(Clone, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct RootedTree {
     root: NodeId,
     parent: Vec<Option<NodeId>>,
-    children: Vec<Vec<NodeId>>,
+    /// CSR offsets, `n + 1` entries: `v`'s children are
+    /// `child_list[child_start[v]..child_start[v + 1]]`.
+    child_start: Vec<usize>,
+    /// The `n − 1` non-root nodes, grouped by parent, ascending per group.
+    child_list: Vec<NodeId>,
     depth: Vec<usize>,
 }
 
@@ -134,12 +146,13 @@ impl RootedTree {
         // root from any node must terminate within n steps.
         let mut depth = vec![usize::MAX; n];
         depth[root] = 0;
+        let mut path = Vec::new();
         for v in 0..n {
             if depth[v] != usize::MAX {
                 continue;
             }
             // Walk up until a node of known depth, recording the path.
-            let mut path = Vec::new();
+            path.clear();
             let mut cur = v;
             while depth[cur] == usize::MAX {
                 path.push(cur);
@@ -159,17 +172,29 @@ impl RootedTree {
             }
         }
 
-        let mut children = vec![Vec::new(); n];
-        for (v, &p) in parent.iter().enumerate() {
+        // Counting sort into CSR: count each parent's children, turn the
+        // counts into block ends, then fill every block back to front so
+        // each ends up ascending and each end has moved down to its start.
+        let mut child_start = vec![0; n + 1];
+        for &p in parent.iter().flatten() {
+            child_start[p] += 1;
+        }
+        for v in 1..=n {
+            child_start[v] += child_start[v - 1];
+        }
+        let mut child_list = vec![0; n - 1];
+        for (v, &p) in parent.iter().enumerate().rev() {
             if let Some(p) = p {
-                children[p].push(v);
+                child_start[p] -= 1;
+                child_list[child_start[p]] = v;
             }
         }
 
         Ok(RootedTree {
             root,
             parent,
-            children,
+            child_start,
+            child_list,
             depth,
         })
     }
@@ -306,14 +331,14 @@ impl RootedTree {
         &self.parent
     }
 
-    /// The children of `v` in insertion order.
+    /// The children of `v`, in increasing node order.
     ///
     /// # Panics
     ///
     /// Panics if `v >= n`.
     #[inline]
     pub fn children(&self, v: NodeId) -> &[NodeId] {
-        &self.children[v]
+        &self.child_list[self.child_start[v]..self.child_start[v + 1]]
     }
 
     /// The depth of `v` (root has depth 0).
@@ -336,7 +361,7 @@ impl RootedTree {
     /// A single-node tree's root is a leaf.
     #[inline]
     pub fn is_leaf(&self, v: NodeId) -> bool {
-        self.children[v].is_empty()
+        self.children(v).is_empty()
     }
 
     /// Returns `true` if `v` has at least one child.
@@ -384,7 +409,7 @@ impl RootedTree {
         let mut queue = std::collections::VecDeque::from([self.root]);
         while let Some(v) = queue.pop_front() {
             order.push(v);
-            queue.extend(self.children[v].iter().copied());
+            queue.extend(self.children(v).iter().copied());
         }
         order
     }
@@ -410,7 +435,7 @@ impl RootedTree {
         let mut stack = vec![v];
         while let Some(u) = stack.pop() {
             count += 1;
-            stack.extend(self.children[u].iter().copied());
+            stack.extend(self.children(u).iter().copied());
         }
         count
     }
@@ -421,20 +446,20 @@ impl RootedTree {
         let mut stack = vec![v];
         while let Some(u) = stack.pop() {
             set.insert(u);
-            stack.extend(self.children[u].iter().copied());
+            stack.extend(self.children(u).iter().copied());
         }
         set
     }
 
     /// Returns `true` if the tree is a path rooted at one end.
     pub fn is_path(&self) -> bool {
-        (0..self.n()).all(|v| self.children[v].len() <= 1)
+        (0..self.n()).all(|v| self.children(v).len() <= 1)
     }
 
     /// Returns `true` if the tree is a star (root adjacent to every other
     /// node). Single-node and two-node trees count as stars.
     pub fn is_star(&self) -> bool {
-        self.children[self.root].len() == self.n() - 1
+        self.children(self.root).len() == self.n() - 1
     }
 
     /// The adjacency matrix of the tree: entry `(p, c)` for every edge,
@@ -538,14 +563,7 @@ impl RootedTree {
         let n = self.n();
         assert!(new_root < n, "new root {new_root} out of range for n = {n}");
         let mut parent = self.parent.clone();
-        let mut v = new_root;
-        let mut prev: Option<NodeId> = None;
-        while let Some(p) = parent[v] {
-            parent[v] = prev;
-            prev = Some(v);
-            v = p;
-        }
-        parent[v] = prev;
+        reroot_parents(&mut parent, new_root);
         // analyze: allow(panic): rerooting flips root-path edges only, preserving tree-ness
         RootedTree::from_parents(parent).expect("rerooting preserves tree-ness")
     }
@@ -558,11 +576,24 @@ impl RootedTree {
             inner_count: self.inner_count(),
             height: self.height(),
             max_children: (0..self.n())
-                .map(|v| self.children[v].len())
+                .map(|v| self.children(v).len())
                 .max()
                 .unwrap_or(0),
         }
     }
+}
+
+/// Re-roots a valid parent array at `new_root` in place by reversing
+/// every edge on the path from `new_root` up to the current root.
+pub(crate) fn reroot_parents(parent: &mut [Option<NodeId>], new_root: NodeId) {
+    let mut v = new_root;
+    let mut prev = None;
+    while let Some(p) = parent[v] {
+        parent[v] = prev;
+        prev = Some(v);
+        v = p;
+    }
+    parent[v] = prev;
 }
 
 impl fmt::Debug for RootedTree {
@@ -585,6 +616,26 @@ impl fmt::Display for RootedTree {
             }
         }
         f.write_str("]")
+    }
+}
+
+/// Writes the parent array only; the root, children and depths are
+/// derived data.
+#[cfg(feature = "serde")]
+impl serde::Serialize for RootedTree {
+    fn to_value(&self) -> serde::Value {
+        serde::Value::object([("parent", self.parent.to_value())])
+    }
+}
+
+/// Reads the parent array back through [`RootedTree::from_parents`], so
+/// a parent array that is no tree is an error, not a latent panic.
+#[cfg(feature = "serde")]
+impl serde::Deserialize for RootedTree {
+    fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
+        let parent = Vec::<Option<NodeId>>::from_field(value, "parent")?;
+        RootedTree::from_parents(parent)
+            .map_err(|e| serde::Error::msg(format!("invalid rooted tree: {e}")))
     }
 }
 
@@ -792,5 +843,54 @@ mod tests {
         RootedTree::from_parents(vec![None, Some(0)])
             .unwrap()
             .rerooted(2);
+    }
+
+    /// The CSR children must list exactly the nodes naming `v` as parent,
+    /// in increasing order — the order the engines and adversaries walk.
+    fn assert_children_ascending(t: &RootedTree) {
+        for v in 0..t.n() {
+            let expected: Vec<NodeId> = (0..t.n()).filter(|&c| t.parent(c) == Some(v)).collect();
+            assert_eq!(t.children(v), expected.as_slice(), "children of {v} in {t}");
+            assert_eq!(t.is_leaf(v), expected.is_empty());
+        }
+    }
+
+    #[test]
+    fn children_stay_ascending_through_reroot_and_relabel() {
+        use rand::seq::SliceRandom;
+        use rand::SeedableRng;
+
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0xC5);
+        for n in [1, 2, 3, 8, 33] {
+            for _ in 0..8 {
+                let t = crate::random::uniform(n, &mut rng);
+                assert_children_ascending(&t);
+                for r in 0..n {
+                    assert_children_ascending(&t.rerooted(r));
+                }
+                let mut perm: Vec<NodeId> = (0..n).collect();
+                perm.shuffle(&mut rng);
+                assert_children_ascending(&t.relabel(&perm));
+            }
+        }
+    }
+
+    #[cfg(feature = "serde")]
+    #[test]
+    fn serde_round_trips_the_parent_array() {
+        let t = RootedTree::from_edges(5, [(3, 0), (3, 4), (0, 1), (0, 2)]).unwrap();
+        let text = serde::json::to_string(&t);
+        assert_eq!(text, r#"{"parent":[3,0,0,null,3]}"#);
+        assert_eq!(serde::json::from_str::<RootedTree>(&text).unwrap(), t);
+    }
+
+    #[cfg(feature = "serde")]
+    #[test]
+    fn serde_rejects_a_parent_array_that_is_no_tree() {
+        let bad = r#"{"root":0,"parent":[null,7],"children":[[1],[]],"depth":[0,1]}"#;
+        let err = serde::json::from_str::<RootedTree>(bad).unwrap_err();
+        assert!(err.to_string().contains("outside 0..2"), "{err}");
+        let cyclic = r#"{"parent":[null,2,1]}"#;
+        assert!(serde::json::from_str::<RootedTree>(cyclic).is_err());
     }
 }
